@@ -99,11 +99,15 @@ class TrialReport:
 
     @property
     def p_e_hat(self) -> float:
-        return self.logical_block_errors / (self.trials * self.timesteps)
+        """Block error rate; NaN when no block was decoded."""
+        total = self.trials * self.timesteps
+        return self.logical_block_errors / total if total else float("nan")
 
     @property
     def p_b_hat(self) -> float:
-        return self.info_symbol_errors / self.decoded_info_symbols
+        """Info-symbol error rate; NaN when no symbol was decoded."""
+        total = self.decoded_info_symbols
+        return self.info_symbol_errors / total if total else float("nan")
 
     @property
     def p_e_interval(self):
@@ -135,6 +139,37 @@ def payload_indices(code: QccCode, left_blocks: int | None = None,
         if len(sup) and lo <= sup[0] and sup[-1] < hi:
             keep.append(i)
     return tuple(keep)
+
+
+class EmptyPayloadError(ValueError):
+    """No logical pair of the window sits clear of both edges, so there is
+    nothing to count errors against."""
+
+
+def require_payload(code: QccCode) -> tuple[int, ...]:
+    """`payload_indices(code)`, or EmptyPayloadError naming the smallest
+    wider window of the same parent whose payload is not empty."""
+    payload = payload_indices(code)
+    if payload:
+        return payload
+    parent, W = code.parent, code.window_blocks
+    # the search stops at twice the template reference window of 4m + 6
+    # blocks, or at twice this window if that is wider
+    last = max(2 * W, 8 * parent.m + 12)
+    for wider in range(W + 1, last + 1):
+        try:
+            candidate = QccCode(parent, wider)
+        except ValueError:  # not a multiple of k
+            continue
+        if payload_indices(candidate):
+            raise EmptyPayloadError(
+                f"window of {W} blocks leaves no payload qubit clear of the edges; "
+                f"the smallest window with a payload is {wider}"
+            )
+    raise EmptyPayloadError(
+        f"window of {W} blocks leaves no payload qubit clear of the edges, "
+        f"and no window up to {last} blocks has one"
+    )
 
 
 def run_trials(

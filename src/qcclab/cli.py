@@ -19,7 +19,9 @@ from . import __version__
 from .channel import (
     ChannelModel,
     ChannelSpec,
+    EmptyPayloadError,
     measure_distance,
+    require_payload,
     run_trials,
     union_bound,
 )
@@ -119,6 +121,10 @@ def _simulate_range(payload):
 def cmd_simulate(args) -> int:
     qcc = _build(args)
     model = ChannelModel(args.model)
+    try:
+        require_payload(qcc)
+    except EmptyPayloadError as exc:
+        raise InputError(str(exc)) from exc
     try:
         dist = measure_distance(qcc)
         d = dist.d

@@ -344,27 +344,31 @@ class CodewordForm:
     def b_coeffs(self, n_blocks: int) -> np.ndarray:
         """Register content: b[s, r] adds dummy r into final register s."""
         n_mid = self.parent.n * n_blocks
+        if n_mid % self.parent.k:
+            raise ValueError(
+                f"{n_blocks} blocks give {n_mid} dummies, not a multiple of k={self.parent.k}"
+            )
         return encoding_matrix(self.parent, n_mid // self.parent.k)
 
     def amplitudes(self, info: Sequence[int], n_blocks: int | None = None) -> np.ndarray:
         """Direct summation over all dummy assignments; the desk-scale
-        oracle for circuit-built encodings. Returns shape (N,) * L."""
+        oracle for circuit-built encodings. Returns shape (N,) * L.
+
+        Works on any window length, including windows shorter than the
+        m + 1 blocks `QccCode` requires."""
         parent = self.parent
         N = parent.p
-        k = parent.k
         if n_blocks is None:
-            if len(info) % k:
+            if len(info) % parent.k:
                 raise ValueError("info length must be a multiple of k")
-            n_blocks = len(info) // k
-        code = QccCode(parent, n_blocks)
-        A, B = code.first_matrix, code.second_matrix
-        L = code.L
+            n_blocks = len(info) // parent.k
+        A, B = self.a_coeffs(n_blocks), self.b_coeffs(n_blocks)
+        L, n_mid = B.shape
         info = np.asarray(info, dtype=np.int64)
-        if info.shape != (code.k_info,):
+        if info.shape != (A.shape[1],):
             raise ValueError("info length does not match the window")
         amp = np.zeros((N,) * L, dtype=np.complex128)
         phase_vec = (A @ info) % N
-        n_mid = A.shape[0]
         omega = np.exp(2j * np.pi / N)
         for idx in np.ndindex(*(N,) * n_mid):
             P = np.asarray(idx, dtype=np.int64)

@@ -1,0 +1,48 @@
+import json
+import math
+
+import pytest
+
+from qcclab.channel import TrialReport
+from qcclab.cli import EXIT_INPUT, EXIT_OK, main
+
+FLAGSHIP = {"p": 2, "k": 1, "n": 2, "G": [[[1, 0, 1], [1, 1, 1]]]}
+
+
+@pytest.fixture
+def flagship_file(tmp_path):
+    path = tmp_path / "flagship.json"
+    path.write_text(json.dumps(FLAGSHIP))
+    return str(path)
+
+
+def test_verify_statevec_passes(capsys):
+    assert main(["verify-statevec"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12
+    assert all(line.startswith("PASS ") for line in lines), lines
+
+
+def test_simulate_default_window_names_smallest_window(flagship_file, capsys):
+    # the default --window 6 leaves no payload qubit clear of the edges
+    assert main(["simulate", "--code", flagship_file, "--p", "0.03"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "smallest window with a payload is 8" in captured.err
+
+
+def test_simulate_smallest_window_runs(flagship_file, capsys):
+    argv = ["simulate", "--code", flagship_file, "--p", "0.03", "--window", "8",
+            "--trials", "50"]
+    assert main(argv) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[:2] == ["0.03", "50"]
+
+
+def test_rates_with_nothing_decoded_are_nan():
+    rep = TrialReport(trials=0, timesteps=6, payload_qubits=0, payload_indices=(),
+                      logical_block_errors=0, info_symbol_errors=0,
+                      decoded_info_symbols=0, seed=0, p_err=0.03, model="depolarizing")
+    assert math.isnan(rep.p_e_hat)
+    assert math.isnan(rep.p_b_hat)
+    assert rep.p_b_interval == (0.0, 1.0)

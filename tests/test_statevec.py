@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qcclab import statevec
 from qcclab.pauli import PauliWindow
 from qcclab.statevec import (
     StateVector,
@@ -13,39 +14,7 @@ from qcclab.statevec import (
     verify_logical,
 )
 
-
-def closed_form_state(info, N, T):
-    """Independent oracle: direct summation of the rate-1/4 closed form
-    over every dummy assignment (zero history, zero tail)."""
-
-    def k(i):
-        return info[i - 1] if 1 <= i <= T else 0
-
-    amp = np.zeros((N,) * (4 * T), dtype=np.complex128)
-    w = np.exp(2j * np.pi / N)
-    for dummies in itertools.product(range(N), repeat=2 * T):
-        pv = {i + 1: dummies[2 * i] for i in range(T)}
-        qv = {i + 1: dummies[2 * i + 1] for i in range(T)}
-
-        def p(i):
-            return pv.get(i, 0)
-
-        def q(i):
-            return qv.get(i, 0)
-
-        phase = 0
-        regs = []
-        for i in range(1, T + 1):
-            phase += (k(i) + k(i - 2)) * p(i) + (k(i) + k(i - 1) + k(i - 2)) * q(i)
-            regs += [
-                (p(i) + p(i - 1)) % N,
-                (p(i) + p(i - 1) + q(i - 1)) % N,
-                (q(i) + q(i - 1)) % N,
-                (q(i) + q(i - 1) + p(i)) % N,
-            ]
-        amp[tuple(regs)] += w**phase
-    amp /= np.linalg.norm(amp.ravel())
-    return amp
+from oracles import closed_form_state
 
 
 class TestElementaryOps:
@@ -123,9 +92,103 @@ class TestElementaryOps:
             assert np.allclose(U @ U.T, np.eye(N * N))
 
 
+def _dense_gate(N, L, kind, params):
+    """N^L x N^L matrix of a gate, built from its docstring definition on
+    basis states; basis index = C-order ravel of the register labels."""
+    w = np.exp(2j * np.pi / N)
+    U = np.zeros((N**L, N**L), dtype=np.complex128)
+    for x in itertools.product(range(N), repeat=L):
+        col = np.ravel_multi_index(x, (N,) * L)
+        outs = []  # (labels, amplitude)
+        y = list(x)
+        if kind == "add-const":
+            y[params["reg"]] = (x[params["reg"]] + params["a"]) % N
+            outs.append((y, 1.0))
+        elif kind == "add":
+            y[params["dst"]] = (x[params["dst"]] + params["scale"] * x[params["src"]]) % N
+            outs.append((y, 1.0))
+        elif kind == "mul":
+            y[params["reg"]] = (params["a"] * x[params["reg"]]) % N
+            outs.append((y, 1.0))
+        elif kind == "fourier":
+            sign = -1 if params["inverse"] else 1
+            for v in range(N):
+                z = list(x)
+                z[params["reg"]] = v
+                outs.append((z, w ** (sign * x[params["reg"]] * v) / np.sqrt(N)))
+        elif kind == "local-phase":
+            outs.append((y, w ** (params["a"] * x[params["reg"]])))
+        elif kind == "pair-phase":
+            outs.append((y, w ** (params["c"] * x[params["reg1"]] * x[params["reg2"]])))
+        for labels, amp in outs:
+            U[np.ravel_multi_index(labels, (N,) * L), col] += amp
+    return U
+
+
+def _gate_cases(N, L):
+    """Every gate on every register, or every ordered register pair."""
+    values = sorted({1, N - 1})
+    for reg in range(L):
+        for a in values:
+            yield "add-const", {"reg": reg, "a": a}
+            yield "mul", {"reg": reg, "a": a}
+            yield "local-phase", {"reg": reg, "a": a}
+        for inverse in (False, True):
+            yield "fourier", {"reg": reg, "inverse": inverse}
+    for r1, r2 in itertools.permutations(range(L), 2):
+        for c in values:
+            yield "add", {"src": r1, "dst": r2, "scale": c}
+            yield "pair-phase", {"reg1": r1, "reg2": r2, "c": c}
+
+
+class TestKernelContract:
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_every_gate_matches_its_dense_matrix(self, N):
+        L = 3
+        rng = np.random.default_rng(N)
+        raw = rng.normal(size=(N,) * L) + 1j * rng.normal(size=(N,) * L)
+        s = StateVector(N, L, raw / np.linalg.norm(raw.ravel()))
+        before = s.amp.copy()
+        kinds = set()
+        for kind, params in _gate_cases(N, L):
+            want = _dense_gate(N, L, kind, params) @ before.ravel()
+            method = getattr(s, kind.replace("-", "_"))
+            for out in (apply_elementary(s, kind, **params), method(**params)):
+                assert np.allclose(out.amp.ravel(), want, atol=1e-12), (kind, params)
+                assert out.amp.flags.c_contiguous, (kind, params)
+                assert np.array_equal(s.amp, before), (kind, params)
+            kinds.add(kind)
+        assert kinds == set(statevec._KERNELS)
+
+    @pytest.mark.parametrize(
+        "kind, circuit",
+        [
+            ("add", lambda s: encode_eq1((1, 0, 1), 2, 3)),
+            ("fourier", lambda s: encode_eq1((1, 0, 1), 2, 3)),
+            ("pair-phase", lambda s: decode_step_eq1(s, 2, 3)),
+            ("local-phase", lambda s: s.apply_pauli(PauliWindow.from_string("IZIZIIIIIIII"))),
+            ("add-const", lambda s: s.apply_pauli(PauliWindow.from_string("IXIXIIIIIIII"))),
+        ],
+    )
+    def test_norm_checked_after_every_gate_in_circuits(self, monkeypatch, kind, circuit):
+        # each circuit runs the gate at least twice; the first call must fail
+        state = encode_eq1((1, 0, 1), 2, 3)
+        calls = []
+
+        def leaky(amp, N, **params):
+            calls.append(params)
+            amp *= 1 + 1e-6
+
+        monkeypatch.setitem(statevec._KERNELS, kind, leaky)
+        with pytest.raises(ValueError, match="norm"):
+            circuit(state)
+        assert len(calls) == 1
+
+
 class TestEncode:
-    @pytest.mark.parametrize("N", [2, 3])
-    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "T, N", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
+    )
     def test_circuit_matches_closed_form(self, N, T):
         rng = np.random.default_rng(N * 10 + T)
         infos = [tuple(int(v) for v in rng.integers(0, N, T)) for _ in range(4)]
