@@ -11,7 +11,7 @@ margins are reported alongside the estimates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -108,6 +108,20 @@ class TrialReport:
         """Info-symbol error rate; NaN when no symbol was decoded."""
         total = self.decoded_info_symbols
         return self.info_symbol_errors / total if total else float("nan")
+
+    def merge(self, other: "TrialReport") -> "TrialReport":
+        """The report of two disjoint trial ranges of one run: the counts
+        add, and the code, channel and seed must agree."""
+        run = (self.timesteps, self.payload_indices, self.seed, self.p_err, self.model)
+        if run != (other.timesteps, other.payload_indices, other.seed, other.p_err, other.model):
+            raise ValueError("cannot merge reports of different runs")
+        return replace(
+            self,
+            trials=self.trials + other.trials,
+            logical_block_errors=self.logical_block_errors + other.logical_block_errors,
+            info_symbol_errors=self.info_symbol_errors + other.info_symbol_errors,
+            decoded_info_symbols=self.decoded_info_symbols + other.decoded_info_symbols,
+        )
 
     @property
     def p_e_interval(self):

@@ -9,6 +9,7 @@ rejection (catastrophic parent and similar).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +21,7 @@ from .channel import (
     ChannelModel,
     ChannelSpec,
     EmptyPayloadError,
+    TrialReport,
     measure_distance,
     require_payload,
     run_trials,
@@ -110,12 +112,11 @@ def cmd_print_stabilizers(args) -> int:
     return EXIT_OK
 
 
-def _simulate_range(payload):
+def _simulate_range(payload) -> TrialReport:
     code_doc, window, model, p_err, n, seed, offset = payload
     code = QccCode(ConvCode.from_json(code_doc), window)
     spec = ChannelSpec(p_err, ChannelModel(model), code.N)
-    rep = run_trials(code, spec, n, seed, trial_offset=offset)
-    return rep.logical_block_errors, rep.info_symbol_errors
+    return run_trials(code, spec, n, seed, trial_offset=offset)
 
 
 def cmd_simulate(args) -> int:
@@ -137,39 +138,15 @@ def cmd_simulate(args) -> int:
     print("p,trials,Pe_hat,Pe_lo,Pe_hi,Pb_hat,Pb_lo,Pb_hi,Pe_bound,Pb_bound")
     for p_err in args.p:
         spec = ChannelSpec(p_err, model, qcc.N)
-        if args.jobs > 1:
+        if args.jobs > 1 and args.trials > 0:
             per = -(-args.trials // args.jobs)
-            ranges = []
-            off = 0
-            while off < args.trials:
-                n = min(per, args.trials - off)
-                ranges.append(
-                    (qcc.parent.to_json(), qcc.window_blocks, model.value, p_err,
-                     n, args.seed, off)
-                )
-                off += n
+            ranges = [
+                (qcc.parent.to_json(), qcc.window_blocks, model.value, p_err,
+                 min(per, args.trials - off), args.seed, off)
+                for off in range(0, args.trials, per)
+            ]
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                parts = list(pool.map(_simulate_range, ranges))
-            block_errors = sum(p[0] for p in parts)
-            symbol_errors = sum(p[1] for p in parts)
-            base = run_trials(qcc, spec, 0, args.seed)
-            rep_counts = (block_errors, symbol_errors, args.trials)
-            payload_n = base.payload_qubits
-            timesteps = base.timesteps
-            from .channel import TrialReport, wilson_interval
-
-            rep = TrialReport(
-                trials=args.trials,
-                timesteps=timesteps,
-                payload_qubits=payload_n,
-                payload_indices=base.payload_indices,
-                logical_block_errors=block_errors,
-                info_symbol_errors=symbol_errors,
-                decoded_info_symbols=args.trials * payload_n,
-                seed=args.seed,
-                p_err=p_err,
-                model=model.value,
-            )
+                rep = functools.reduce(TrialReport.merge, pool.map(_simulate_range, ranges))
         else:
             rep = run_trials(qcc, spec, args.trials, args.seed)
         pe_lo, pe_hi = rep.p_e_interval
@@ -242,10 +219,13 @@ def cmd_viterbi(args) -> int:
                 received = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read received symbols: {exc}") from exc
-    trellis = build_trellis(code, state_cap=args.state_cap)
-    path = viterbi_decode(
-        trellis, received, traceback=args.traceback, terminated=not args.unterminated
-    )
+    try:
+        trellis = build_trellis(code, state_cap=args.state_cap)
+        path = viterbi_decode(
+            trellis, received, traceback=args.traceback, terminated=not args.unterminated
+        )
+    except (ValueError, TypeError) as exc:  # StateCapError is a ValueError
+        raise InputError(str(exc)) from exc
     print(json.dumps({
         "version": __version__,
         "info": list(path.info),

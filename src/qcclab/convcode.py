@@ -3,11 +3,17 @@
 Information streams are flat symbol sequences, k symbols per block; code
 streams are flat, n symbols per block. Zero history is assumed before the
 first block, and terminated operation appends m all-zero input blocks.
+
+`viterbi` is the add-compare-select dynamic program that every trellis
+decoder of the package runs, this module's classical decoder and the
+error-trellis decoders of `qviterbi` alike. It has one tie-break rule:
+minimum cost first, then the lexicographically smallest sequence of branch
+labels. A caller labels the branches of each section so that label order
+is the order its paths compare in.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -20,14 +26,16 @@ DEFAULT_STATE_CAP = 1 << 20
 
 
 class StateCapError(ValueError):
-    """Trellis state space exceeds the configured cap."""
+    """A trellis or state vector would exceed the configured size cap."""
 
 
-def _state_cap(explicit: int | None) -> int:
+def size_cap(explicit: int | None, default: int) -> int:
+    """The size cap: `explicit` if given, else the QCC_STATE_CAP environment
+    variable, else the caller's default."""
     if explicit is not None:
         return explicit
     env = os.environ.get("QCC_STATE_CAP")
-    return int(env) if env else DEFAULT_STATE_CAP
+    return int(env) if env else default
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,7 @@ class Trellis:
 def build_trellis(code: ConvCode, state_cap: int | None = None) -> Trellis:
     p, k, n, m = code.p, code.k, code.n, code.m
     n_states = p ** (k * m)
-    cap = _state_cap(state_cap)
+    cap = size_cap(state_cap, DEFAULT_STATE_CAP)
     if n_states > cap:
         raise StateCapError(f"{n_states} states exceed cap {cap}")
     n_branches = p**k
@@ -154,6 +162,8 @@ def build_trellis(code: ConvCode, state_cap: int | None = None) -> Trellis:
     return Trellis(code, n_states, n_branches, next_state, output)
 
 
+
+
 @dataclass(frozen=True)
 class DecodePath:
     """Viterbi result: decoded info symbols and the path's Hamming metric."""
@@ -161,6 +171,97 @@ class DecodePath:
     info: tuple[int, ...]
     metric: int
     final_state: int
+
+
+# add-compare-select -----------------------------------------------------------
+#
+# A section lists its candidates (previous state, branch) grouped by next
+# state: entry [v, j] is the j-th candidate into next state v. A candidate's
+# step key packs its branch cost and its branch label as cost * S * B + label,
+# where S counts the states before the section and B its labels. Adding the
+# previous survivor's (metric * S + rank) * B gives the candidate's key
+# ((metric + cost) * S + rank) * B + label, and the least key wins.
+
+
+def group_candidates(key: np.ndarray, n_groups: int) -> np.ndarray:
+    """Positions of `key` grouped by value: row v of the (n_groups, F)
+    result lists the F positions that hold v. Every value occurs F times."""
+    counts = np.bincount(key, minlength=n_groups)
+    if counts.min() != counts.max():
+        raise AssertionError("trellis section whose next states differ in fan-in")
+    # a stable sort of integers of at most 16 bits is a radix sort
+    return np.argsort(key, kind="stable").reshape(n_groups, -1)
+
+
+def step_keys(cost, label, n_states: int, n_labels: int, inf: int) -> np.ndarray:
+    """Step keys cost * S * B + label of a section's candidates, with costs
+    clipped to `inf`; int32 when every key `viterbi` forms from them fits."""
+    span = n_states * n_labels
+    dtype = np.int32 if (2 * inf + 2) * span < 1 << 31 else np.int64
+    return np.minimum(cost, inf).astype(dtype) * span + np.asarray(label, dtype=dtype)
+
+
+def viterbi(sections, start: np.ndarray, inf: int, depth: int | None = None):
+    """Add-compare-select over `sections` for a batch of rows.
+
+    `start` holds the metric of every state before the first section, one
+    row per decoded word. `inf` is the metric of an unreachable state and
+    exceeds every finite path metric. Each section is a triple (src, step,
+    B): the previous state and the step key of every candidate, as (rows or
+    1, next states, F) arrays grouped as `group_candidates` groups them, and
+    the number B of branch labels.
+
+    Each row keeps, for every state, its survivor's metric and the
+    survivor's rank in lexicographic order among the survivors at the same
+    boundary. The candidate of least (metric, rank of its previous state,
+    label) wins, so every survivor, and the result, is the path of minimum
+    cost and, among those, of lexicographically smallest labels.
+
+    With depth=None, one traceback from each row's best final survivor
+    gives the labels. With an integer depth, once `depth` sections are
+    pending, each section commits the oldest undecided label from the best
+    survivor; the labels not committed come from the best final survivor.
+    Returns the labels (rows, sections) and each row's final metric and
+    final state.
+    """
+    metric = np.asarray(start, dtype=np.int64)
+    rank = np.zeros_like(metric)
+    rows = np.arange(len(metric))[:, None, None]
+    winners: list[tuple[np.ndarray, np.ndarray]] = []
+    labels = np.zeros((len(metric), 0), dtype=np.int64)
+    for t, (src, step, n_labels) in enumerate(sections):
+        n_states = metric.shape[1]
+        span = n_states * n_labels
+        base = ((metric * n_states + rank) * n_labels).astype(step.dtype)
+        key = base[rows, src] + step
+        j = key.argmin(axis=2)[:, :, None]
+        best = np.take_along_axis(key, j, axis=2)[:, :, 0]
+        prev = np.take_along_axis(np.broadcast_to(src, key.shape), j, axis=2)[:, :, 0]
+        winners.append((prev, best % n_labels))
+        metric = np.minimum(best // span, inf).astype(np.int64)
+        rank = (best % span).argsort(axis=1).argsort(axis=1)
+        if depth is not None and t + 1 >= depth:
+            oldest = _traceback(winners[labels.shape[1] :], _best_state(metric, rank))
+            labels = np.hstack([labels, oldest[:, :1]])
+    end = _best_state(metric, rank)
+    labels = np.hstack([labels, _traceback(winners[labels.shape[1] :], end)])
+    return labels, metric[np.arange(len(metric)), end], end
+
+
+def _best_state(metric: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Each row's state of least (metric, rank)."""
+    return np.argmin(metric * metric.shape[1] + rank, axis=1)
+
+
+def _traceback(winners, state: np.ndarray) -> np.ndarray:
+    """Labels of the survivors ending in `state`, one column per section."""
+    rows = np.arange(len(state))
+    out = np.empty((len(state), len(winners)), dtype=np.int64)
+    for t in range(len(winners) - 1, -1, -1):
+        prev, label = winners[t]
+        out[:, t] = label[rows, state]
+        state = prev[rows, state]
+    return out
 
 
 def _branch_inputs(trellis: Trellis) -> list[tuple[int, ...]]:
@@ -187,67 +288,39 @@ def viterbi_decode(
     With terminated=True the received word must include the m zero-tail
     blocks and the path is forced back to the zero state; the returned
     info excludes the tail. traceback=None decodes the whole window
-    exactly; an integer enables streaming commits at that depth.
+    exactly; an integer commits each block from the best survivor once
+    that many blocks are pending.
     """
     code = trellis.code
-    p, k, n, m = code.p, code.k, code.n, code.m
+    k, n, m = code.k, code.n, code.m
     if len(received) == 0 or len(received) % n:
         raise ValueError(f"received length must be a positive multiple of n={n}")
+    if traceback is not None and traceback < 1:
+        raise ValueError("traceback depth must be >= 1")
     rec = np.asarray(received, dtype=np.int64).reshape(-1, n)
     T = rec.shape[0]
     if terminated and T <= m:
         raise ValueError("terminated stream shorter than the zero tail")
+    S, B = trellis.n_states, trellis.n_branches
+    # labels rank the input blocks lexicographically, so that label order
+    # is the order of the information sequences
     inputs = _branch_inputs(trellis)
+    by_label = sorted(range(B), key=inputs.__getitem__)
+    label_of = np.argsort(by_label)
+    src, branch = np.divmod(group_candidates(trellis.next_state.ravel(), S), B)
+    inf = n * T + 1
 
-    if traceback is not None:
-        return _viterbi_stream(trellis, rec, traceback, inputs)
+    def sections():
+        for t in range(T):
+            cost = np.count_nonzero(trellis.output != rec[t], axis=2)[src, branch]
+            if terminated and t >= T - m:
+                cost = np.where(branch == 0, cost, inf)
+            yield src[None], step_keys(cost, label_of[branch], S, B, inf)[None], B
 
-    # metric-then-path ordering gives min distance with lexicographic ties
-    best: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-    for t in range(T):
-        nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
-        tail = terminated and t >= T - m
-        for s, (metric, path) in best.items():
-            for b in range(trellis.n_branches):
-                if tail and b != 0:
-                    continue
-                d = int(np.count_nonzero(trellis.output[s, b] != rec[t]))
-                cand = (metric + d, path + inputs[b])
-                ns = int(trellis.next_state[s, b])
-                if ns not in nxt or cand < nxt[ns]:
-                    nxt[ns] = cand
-        best = nxt
+    start = np.full((1, S), inf)
+    start[0, 0] = 0
+    labels, metric, end = viterbi(sections(), start, inf, traceback)
+    info = [u for label in labels[0] for u in inputs[by_label[label]]]
     if terminated:
-        metric, path = best[0]
-        final = 0
-        path = path[: k * (T - m)]
-    else:
-        final, (metric, path) = min(best.items(), key=lambda kv: kv[1])
-    return DecodePath(tuple(path), metric, final)
-
-
-def _viterbi_stream(trellis, rec, traceback: int, inputs) -> DecodePath:
-    """Sliding decoder committing the oldest block at the given depth."""
-    if traceback < 1:
-        raise ValueError("traceback depth must be >= 1")
-    T = rec.shape[0]
-    k = trellis.code.k
-    best: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-    committed: list[int] = []
-    for t in range(T):
-        nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for s, (metric, path) in best.items():
-            for b in range(trellis.n_branches):
-                d = int(np.count_nonzero(trellis.output[s, b] != rec[t]))
-                cand = (metric + d, path + inputs[b])
-                ns = int(trellis.next_state[s, b])
-                if ns not in nxt or cand < nxt[ns]:
-                    nxt[ns] = cand
-        best = nxt
-        if t + 1 >= traceback:
-            # commit the oldest undecided block from the current best survivor
-            _, (_, path) = min(best.items(), key=lambda kv: kv[1])
-            committed.extend(path[len(committed) : len(committed) + k])
-    final, (metric, path) = min(best.items(), key=lambda kv: kv[1])
-    committed.extend(path[len(committed) :])
-    return DecodePath(tuple(committed), metric, final)
+        info = info[: k * (T - m)]
+    return DecodePath(tuple(info), int(metric[0]), int(end[0]))

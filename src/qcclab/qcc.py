@@ -53,10 +53,6 @@ def encoding_matrix(code: ConvCode, n_blocks: int) -> np.ndarray:
     return M % p
 
 
-def zero_pauli(L: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(L, dtype=np.int64), np.zeros(L, dtype=np.int64)
-
-
 def classical_stabilizer(code: ConvCode, window_blocks: int) -> StabilizerWindow:
     """Stabilizer form of a classical code on a window: Z-type generators
     span the dual of the codeword space, spin flips re-encode unit info

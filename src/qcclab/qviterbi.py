@@ -5,35 +5,25 @@ boundary records, for every generator whose support straddles the boundary,
 the partial syndrome accumulated so far; this is exactly the information
 future generators can still see, so the dynamic program is an exact
 minimum-weight search. Branch metric is the Pauli weight of the block's
-error pattern; ties resolve toward the lexicographically smallest
+error pattern. Every decoder here runs `convcode.viterbi`, with its one
+tie-break rule: among corrections of minimum weight, the lexicographically
+smallest sequence of branch indices wins, which is the smallest
 register-interleaved (x, z) assignment.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
+from .convcode import StateCapError, group_candidates, size_cap, step_keys, viterbi
 from .pauli import PauliWindow, StabilizerWindow
 from .qcc import QccCode
 
 DEFAULT_STATE_CAP = 1 << 24
-
-
-class StateCapError(ValueError):
-    pass
-
-
-def _state_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("QCC_STATE_CAP")
-    return int(env) if env else DEFAULT_STATE_CAP
 
 
 @dataclass(frozen=True)
@@ -53,6 +43,12 @@ class RecoveryPath:
     correction: PauliWindow
     cost: int
     branches: tuple[int, ...]
+
+
+def _digits(width: int, p: int) -> np.ndarray:
+    """All base-p words of the given width, one per row, in
+    itertools.product order."""
+    return np.arange(p**width)[:, None] // p ** np.arange(width - 1, -1, -1) % p
 
 
 class ErrorTrellis:
@@ -109,7 +105,7 @@ class ErrorTrellis:
                 [g for g in range(self.G) if self.first_block[g] < t <= self.last_block[g]]
             )
         max_open = max(len(o) for o in self.open_at)
-        cap = _state_cap(state_cap)
+        cap = size_cap(state_cap, DEFAULT_STATE_CAP)
         if p ** max_open > cap:
             raise StateCapError(
                 f"{p}^{max_open} trellis states exceed cap {cap}"
@@ -124,77 +120,58 @@ class ErrorTrellis:
         p = self.p
         lo = t * self.block_regs
         hi = min(self.L, lo + self.block_regs)
-        r = hi - lo
-        pats = np.array(
-            list(itertools.product(range(p), repeat=2 * r)), dtype=np.int64
-        )
+        pats = _digits(2 * (hi - lo), p)
         bx = pats[:, 0::2]
         bz = pats[:, 1::2]
-        wt = ((bx != 0) | (bz != 0)).sum(axis=1).astype(np.int64)
+        wt = ((bx != 0) | (bz != 0)).sum(axis=1)
 
         active = [
             g
             for g in range(self.G)
             if self.first_block[g] <= t <= self.last_block[g]
         ]
-        closing = [g for g in active if self.last_block[g] == t]
-        # syndrome convention: sym(error, gen) = x_e . z_g - z_e . x_g
-        contrib = {
-            g: (bx @ self.gen_z[g, lo:hi] - bz @ self.gen_x[g, lo:hi]) % p
-            for g in active
-        }
-
         open_prev = self.open_at[t]
         open_next = self.open_at[t + 1]
+        closing = [g for g in active if self.last_block[g] == t]
         S_prev = p ** len(open_prev)
         n_branch = len(pats)
+        states = _digits(len(open_prev), p)
 
-        # accumulated value of each active generator for every (state, branch)
-        states = np.array(
-            list(itertools.product(range(p), repeat=len(open_prev))), dtype=np.int64
-        ).reshape(S_prev, len(open_prev))
-        acc = {}
-        for g in active:
-            base = (
-                states[:, open_prev.index(g)][:, None]
-                if g in open_prev
-                else np.zeros((S_prev, 1), dtype=np.int64)
-            )
-            acc[g] = (base + contrib[g][None, :]) % p
-
-        close_vals = (
-            np.stack([acc[g] for g in closing], axis=-1)
-            if closing
-            else np.zeros((S_prev, n_branch, 0), dtype=np.int64)
-        )
-        close_key = np.zeros((S_prev, n_branch), dtype=np.int64)
-        for g in closing:
-            close_key = close_key * p + acc[g]
-        next_idx = np.zeros((S_prev, n_branch), dtype=np.int64)
-        for pos, g in enumerate(open_next):
-            next_idx = next_idx * p + acc[g]
+        # group key of each (state, branch): the values the closing
+        # generators reach, then the next state; a row of syndromes takes
+        # the group whose closing values it observed. Keys of at most 16
+        # bits take less arithmetic and sort by radix.
+        n_groups = p ** len(active)
+        dtype = np.uint16 if n_groups <= 1 << 16 else np.int64
+        key = np.zeros((S_prev, n_branch), dtype=dtype)
+        for g in closing + open_next:
+            # syndrome convention: sym(error, gen) = x_e . z_g - z_e . x_g
+            contrib = (bx @ self.gen_z[g, lo:hi] - bz @ self.gen_x[g, lo:hi]) % p
+            prev = states[:, open_prev.index(g)] if g in open_prev else np.zeros(S_prev)
+            key *= p
+            key += (prev.astype(dtype)[:, None] + contrib.astype(dtype)) % p
+        src, label = np.divmod(group_candidates(key.ravel(), n_groups), n_branch)
+        shape = (p ** len(closing), p ** len(open_next), -1)
         return {
             "lo": lo,
             "hi": hi,
             "bx": bx,
             "bz": bz,
-            "wt": wt,
             "closing": closing,
-            "close_vals": close_vals,
-            "close_key": close_key,
-            "next_idx": next_idx,
-            "open_prev": open_prev,
-            "open_next": open_next,
+            "src": src.astype(np.min_scalar_type(S_prev - 1)).reshape(shape),
+            "step": step_keys(wt[label], label, S_prev, n_branch, self.L + 1).reshape(shape),
         }
 
     def map_syndrome(self, syn: SyndromeSequence | Sequence[int]) -> np.ndarray:
+        """Observed syndrome values (one row or many) in the trellis's
+        generator basis."""
         values = syn.values if isinstance(syn, SyndromeSequence) else syn
         values = np.asarray(values, dtype=np.int64)
-        if values.shape != (len(self.stab.generators),):
+        if values.shape[-1:] != (len(self.stab.generators),):
             raise ValueError(
                 f"expected {len(self.stab.generators)} syndrome values, got {values.shape}"
             )
-        return (self.transform @ values) % self.p
+        return (values @ self.transform.T) % self.p
 
 
 def build_error_trellis(
@@ -209,8 +186,39 @@ def build_error_trellis(
     return ErrorTrellis(code, block_regs, state_cap)
 
 
-def _as_trellis(code) -> ErrorTrellis:
-    return code if isinstance(code, ErrorTrellis) else build_error_trellis(code)
+def _as_trellis(code, state_cap: int | None = None) -> ErrorTrellis:
+    if isinstance(code, ErrorTrellis):
+        return code
+    return build_error_trellis(code, state_cap=state_cap)
+
+
+def _decode(trellis: ErrorTrellis, syndromes, depth: int | None = None):
+    """Branch indices (rows, blocks) and costs of the minimum-weight
+    corrections of a batch of syndromes."""
+    targets = np.atleast_2d(trellis.map_syndrome(syndromes))
+    p, inf = trellis.p, trellis.L + 1
+
+    def sections():
+        for tab in trellis._blocks:
+            group = np.zeros(len(targets), dtype=np.int64)
+            for g in tab["closing"]:
+                group = group * p + targets[:, g]
+            yield tab["src"][group], tab["step"][group], len(tab["bx"])
+
+    labels, cost, _ = viterbi(sections(), np.zeros((len(targets), 1)), inf, depth)
+    if (cost >= inf).any():
+        raise ValueError("syndrome is inconsistent with the generator set")
+    return labels, cost
+
+
+def _corrections(trellis: ErrorTrellis, labels: np.ndarray):
+    """(x, z) arrays of shape (rows, L) of the branches in `labels`."""
+    x = np.zeros((len(labels), trellis.L), dtype=np.int64)
+    z = np.zeros((len(labels), trellis.L), dtype=np.int64)
+    for t, tab in enumerate(trellis._blocks):
+        x[:, tab["lo"] : tab["hi"]] = tab["bx"][labels[:, t]]
+        z[:, tab["lo"] : tab["hi"]] = tab["bz"][labels[:, t]]
+    return x, z
 
 
 def qva_decode(
@@ -219,58 +227,22 @@ def qva_decode(
     state_cap: int | None = None,
 ) -> RecoveryPath:
     """Minimum-weight Pauli correction consistent with the syndrome."""
-    trellis = code if isinstance(code, ErrorTrellis) else build_error_trellis(code, state_cap=state_cap)
-    target = trellis.map_syndrome(syn)
-    p = trellis.p
-
-    # state -> (metric, branch path); path comparison is the tie-break
-    best: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-    for t in range(trellis.n_blocks):
-        tab = trellis._blocks[t]
-        closing = tab["closing"]
-        want = np.array([target[g] for g in closing], dtype=np.int64)
-        nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for s, (metric, path) in best.items():
-            ok = (
-                np.nonzero((tab["close_vals"][s] == want[None, :]).all(axis=1))[0]
-                if len(closing)
-                else np.arange(tab["wt"].shape[0])
-            )
-            for b in ok:
-                b = int(b)
-                cand = (metric + int(tab["wt"][b]), path + (b,))
-                ns = int(tab["next_idx"][s, b])
-                if ns not in nxt or cand < nxt[ns]:
-                    nxt[ns] = cand
-        if not nxt:
-            raise ValueError("syndrome is inconsistent with the generator set")
-        best = nxt
-    (metric, path) = best[0]
-    correction = _branches_to_pauli(trellis, path)
-    assert np.array_equal(trellis.stab.syndrome(correction) % p, np.asarray(
-        syn.values if isinstance(syn, SyndromeSequence) else syn, dtype=np.int64
-    ) % p)
-    return RecoveryPath(correction, metric, path)
-
-
-def _branches_to_pauli(trellis: ErrorTrellis, path: Sequence[int]) -> PauliWindow:
-    x = np.zeros(trellis.L, dtype=np.int64)
-    z = np.zeros(trellis.L, dtype=np.int64)
-    for t, b in enumerate(path):
-        tab = trellis._blocks[t]
-        x[tab["lo"] : tab["hi"]] = tab["bx"][b]
-        z[tab["lo"] : tab["hi"]] = tab["bz"][b]
-    return PauliWindow(x, z, trellis.p)
+    trellis = _as_trellis(code, state_cap)
+    values = np.asarray(syn.values if isinstance(syn, SyndromeSequence) else syn, dtype=np.int64)
+    labels, cost = _decode(trellis, values)
+    x, z = _corrections(trellis, labels)
+    correction = PauliWindow(x[0], z[0], trellis.p)
+    assert np.array_equal(trellis.stab.syndrome(correction) % trellis.p, values % trellis.p)
+    return RecoveryPath(correction, int(cost[0]), tuple(int(b) for b in labels[0]))
 
 
 def batch_decode(
     trellis: ErrorTrellis, syndromes: np.ndarray, chunk: int = 2048
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decoding of many syndromes at once.
+    """Vectorized decoding of many syndromes at once, `chunk` rows at a time.
 
-    Returns (x, z, cost) arrays of shapes (M, L), (M, L), (M,). Matches
-    qva_decode costs exactly; among equal-cost corrections the choice is
-    deterministic but may differ from the scalar tie-break.
+    Returns (x, z, cost) arrays of shapes (M, L), (M, L), (M,); each row is
+    the correction qva_decode returns for that syndrome.
     """
     syndromes = np.asarray(syndromes, dtype=np.int64)
     M = syndromes.shape[0]
@@ -279,56 +251,9 @@ def batch_decode(
     costs = np.zeros(M, dtype=np.int64)
     for start in range(0, M, chunk):
         sl = slice(start, min(M, start + chunk))
-        _batch_chunk(trellis, syndromes[sl], xs[sl], zs[sl], costs[sl])
+        labels, costs[sl] = _decode(trellis, syndromes[sl])
+        xs[sl], zs[sl] = _corrections(trellis, labels)
     return xs, zs, costs
-
-
-def _batch_chunk(trellis, syn, out_x, out_z, out_cost):
-    p = trellis.p
-    M = syn.shape[0]
-    targets = (syn @ trellis.transform.T) % p  # (M, G)
-    INF = np.float32(np.inf)
-    metric = np.zeros((M, 1), dtype=np.float32)
-    args = []
-    for t in range(trellis.n_blocks):
-        tab = trellis._blocks[t]
-        S, B = tab["next_idx"].shape
-        cand = metric[:, :, None] + tab["wt"][None, None, :].astype(np.float32)
-        if tab["closing"]:
-            want_key = np.zeros(M, dtype=np.int64)
-            for g in tab["closing"]:
-                want_key = want_key * p + targets[:, g]
-            valid = tab["close_key"][None, :, :] == want_key[:, None, None]
-            cand = np.where(valid, cand, INF)
-        S_next = trellis.n_states(t + 1)
-        flat = cand.reshape(M, S * B)
-        new_metric = np.full((M, S_next), INF, dtype=np.float32)
-        arg = np.zeros((M, S_next), dtype=np.int64)
-        flat_next = tab["next_idx"].reshape(S * B)
-        for ns in range(S_next):
-            idxs = np.nonzero(flat_next == ns)[0]
-            if len(idxs) == 0:
-                continue
-            sub = flat[:, idxs]
-            pos = np.argmin(sub, axis=1)
-            new_metric[:, ns] = sub[np.arange(M), pos]
-            arg[:, ns] = idxs[pos]
-        metric = new_metric
-        args.append(arg)
-    if not np.isfinite(metric[:, 0]).all():
-        raise ValueError("some syndromes are inconsistent with the generator set")
-    out_cost[:] = metric[:, 0].astype(np.int64)
-    # traceback
-    state = np.zeros(M, dtype=np.int64)
-    rows = np.arange(M)
-    for t in range(trellis.n_blocks - 1, -1, -1):
-        tab = trellis._blocks[t]
-        B = tab["wt"].shape[0]
-        flat_idx = args[t][rows, state]
-        s_prev, b = flat_idx // B, flat_idx % B
-        out_x[:, tab["lo"] : tab["hi"]] = tab["bx"][b]
-        out_z[:, tab["lo"] : tab["hi"]] = tab["bz"][b]
-        state = s_prev
 
 
 def streaming_decode(
@@ -349,43 +274,14 @@ def streaming_decode(
     )
     if traceback < min_tb:
         raise ValueError(f"traceback {traceback} below minimum {min_tb}")
-    target = trellis.map_syndrome(syn)
-
-    best: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-    committed: list[int] = []
-    for t in range(trellis.n_blocks):
-        tab = trellis._blocks[t]
-        closing = tab["closing"]
-        want = np.array([target[g] for g in closing], dtype=np.int64)
-        nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for s, (metric, path) in best.items():
-            ok = (
-                np.nonzero((tab["close_vals"][s] == want[None, :]).all(axis=1))[0]
-                if len(closing)
-                else np.arange(tab["wt"].shape[0])
-            )
-            for b in ok:
-                b = int(b)
-                cand = (metric + int(tab["wt"][b]), path + (b,))
-                ns = int(tab["next_idx"][s, b])
-                if ns not in nxt or cand < nxt[ns]:
-                    nxt[ns] = cand
-        if not nxt:
-            raise ValueError("syndrome is inconsistent with the generator set")
-        best = nxt
-        if t + 1 >= traceback:
-            _, (_, path) = min(best.items(), key=lambda kv: kv[1])
-            committed.append(path[len(committed)])
-    _, (_, path) = min(best.items(), key=lambda kv: kv[1])
-    committed.extend(path[len(committed) :])
-
+    labels, _ = _decode(trellis, syn, traceback)
+    x, z = _corrections(trellis, labels)
     segments = []
-    for t, b in enumerate(committed):
-        tab = trellis._blocks[t]
-        x = np.zeros(trellis.L, dtype=np.int64)
-        z = np.zeros(trellis.L, dtype=np.int64)
-        x[tab["lo"] : tab["hi"]] = tab["bx"][b]
-        z[tab["lo"] : tab["hi"]] = tab["bz"][b]
-        corr = PauliWindow(x, z, trellis.p)
-        segments.append(RecoveryPath(corr, corr.weight(), (b,)))
+    for t, tab in enumerate(trellis._blocks):
+        sx = np.zeros(trellis.L, dtype=np.int64)
+        sz = np.zeros(trellis.L, dtype=np.int64)
+        sx[tab["lo"] : tab["hi"]] = x[0, tab["lo"] : tab["hi"]]
+        sz[tab["lo"] : tab["hi"]] = z[0, tab["lo"] : tab["hi"]]
+        corr = PauliWindow(sx, sz, trellis.p)
+        segments.append(RecoveryPath(corr, corr.weight(), (int(labels[0, t]),)))
     return segments

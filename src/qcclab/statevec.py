@@ -17,11 +17,11 @@ gate, inside circuits too.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
 
+from .convcode import StateCapError, size_cap
 from .gfpoly import is_prime
 from .pauli import PauliWindow
 
@@ -32,19 +32,12 @@ NORM_TOL = 1e-10
 _KRON_MAX_TRAILING = 16
 
 
-def _amplitude_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("QCC_STATE_CAP")
-    return int(env) if env else DEFAULT_AMPLITUDE_CAP
-
-
 def _check_dims(N: int, L: int, cap: int | None = None) -> None:
     """Register dimension and amplitude cap, checked before any allocation."""
     if not is_prime(N):
         raise ValueError(f"register dimension must be prime, got {N}")
-    if N**L > _amplitude_cap(cap):
-        raise ValueError(f"state of {N}^{L} amplitudes exceeds the cap")
+    if N**L > size_cap(cap, DEFAULT_AMPLITUDE_CAP):
+        raise StateCapError(f"state of {N}^{L} amplitudes exceeds the cap")
 
 
 def _norm(amp: np.ndarray) -> float:

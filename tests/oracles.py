@@ -43,9 +43,9 @@ def closed_form_state(info, N, T):
     return amp
 
 
-def min_weight_for_syndrome(stab, target, interior=None):
-    """Exhaustive minimum Pauli weight consistent with a syndrome, by
-    enumerating the full solution coset (particular solution + kernel)."""
+def _coset_batches(stab, target, batch=1 << 14):
+    """The full solution coset of a syndrome (particular solution + kernel),
+    as batches of (x | z) rows; empty when the syndrome has no solution."""
     from qcclab import linalg
 
     L, p = stab.L, stab.p
@@ -54,11 +54,9 @@ def min_weight_for_syndrome(stab, target, interior=None):
     syn_map = np.concatenate([gz, (-gx) % p], axis=1)  # rows act on (x | z)
     particular = linalg.solve(syn_map, np.asarray(target, dtype=np.int64), p)
     if particular is None:
-        return None
+        return
     ker = linalg.kernel(syn_map, p)
     dim = len(ker)
-    best = None
-    batch = 1 << 14
     for start in range(0, p**dim, batch):
         idx = np.arange(start, min(start + batch, p**dim))
         digits = np.empty((len(idx), dim), dtype=np.int64)
@@ -66,8 +64,36 @@ def min_weight_for_syndrome(stab, target, interior=None):
         for j in range(dim):
             digits[:, j] = rem % p
             rem //= p
-        ops = (digits @ ker + particular) % p if dim else particular[None, :] % p
-        wts = ((ops[:, :L] != 0) | (ops[:, L:] != 0)).sum(axis=1)
-        mn = int(wts.min())
-        best = mn if best is None else min(best, mn)
-    return best
+        yield (digits @ ker + particular) % p if dim else particular[None, :] % p
+
+
+def _weights(ops, L):
+    return ((ops[:, :L] != 0) | (ops[:, L:] != 0)).sum(axis=1)
+
+
+def min_weight_for_syndrome(stab, target, interior=None):
+    """Exhaustive minimum Pauli weight consistent with a syndrome, by
+    enumerating the full solution coset (particular solution + kernel)."""
+    mins = [int(_weights(ops, stab.L).min()) for ops in _coset_batches(stab, target)]
+    return min(mins) if mins else None
+
+
+def min_weight_lex_correction(stab, target):
+    """Exhaustive tie-break oracle: among the minimum-weight operators with
+    the syndrome, the one whose register-interleaved tuple
+    (x_0, z_0, x_1, z_1, ...) is lexicographically smallest; returns
+    (weight, x, z), or None when the syndrome has no solution."""
+    L = stab.L
+    best = None
+    for ops in _coset_batches(stab, target):
+        wts = _weights(ops, L)
+        keep = ops[wts == wts.min()]
+        inter = np.empty_like(keep)
+        inter[:, 0::2], inter[:, 1::2] = keep[:, :L], keep[:, L:]
+        first = inter[np.lexsort(inter.T[::-1])[0]]
+        cand = (int(wts.min()), tuple(int(v) for v in first))
+        best = cand if best is None else min(best, cand)
+    if best is None:
+        return None
+    weight, inter = best
+    return weight, np.array(inter[0::2]), np.array(inter[1::2])

@@ -39,6 +39,43 @@ def test_simulate_smallest_window_runs(flagship_file, capsys):
     assert row[:2] == ["0.03", "50"]
 
 
+@pytest.mark.parametrize("extra", [
+    ["--received", "[0, 0, 0, 0, 0, 0]", "--state-cap", "2"],
+    ["--received", "[0, 0, 0]"],
+    ["--received", "[0, 0, 0, 0, 0, 0]", "--traceback", "0"],
+], ids=["state-cap", "length-not-multiple-of-n", "traceback-0"])
+def test_viterbi_input_errors_exit_2_with_one_line(flagship_file, capsys, extra):
+    assert main(["viterbi", "--code", flagship_file, *extra]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_simulate_output_independent_of_jobs(flagship_file, capsys):
+    argv = ["simulate", "--code", flagship_file, "--p", "0.03", "--window", "8",
+            "--trials", "300", "--seed", "5"]
+    outputs = []
+    for jobs in ("1", "3"):
+        assert main([*argv, "--jobs", jobs]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_merged_reports_add_counts():
+    part = dict(timesteps=8, payload_qubits=1, payload_indices=(1,), seed=5,
+                p_err=0.03, model="depolarizing")
+    a = TrialReport(trials=3, logical_block_errors=1, info_symbol_errors=1,
+                    decoded_info_symbols=3, **part)
+    b = TrialReport(trials=2, logical_block_errors=0, info_symbol_errors=0,
+                    decoded_info_symbols=2, **part)
+    assert a.merge(b) == TrialReport(trials=5, logical_block_errors=1, info_symbol_errors=1,
+                                     decoded_info_symbols=5, **part)
+    with pytest.raises(ValueError):
+        a.merge(TrialReport(trials=2, logical_block_errors=0, info_symbol_errors=0,
+                            decoded_info_symbols=2, **{**part, "seed": 6}))
+
+
 def test_rates_with_nothing_decoded_are_nan():
     rep = TrialReport(trials=0, timesteps=6, payload_qubits=0, payload_indices=(),
                       logical_block_errors=0, info_symbol_errors=0,

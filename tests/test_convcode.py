@@ -120,15 +120,20 @@ class TestViterbi:
             assert list(path.info) == info, f"flips at {i},{j}"
 
     def test_matches_exhaustive_search(self, rate_half_parent):
-        tr = build_trellis(rate_half_parent)
+        # with k = 2 the lexicographic order of the input blocks differs
+        # from the order of their branch indices
+        rate_two_thirds = ConvCode(PolyMatrix.from_coeffs(
+            [[[1, 1], [0, 1], [1]], [[0, 1], [1], [1, 1]]], 2))
         rng = np.random.default_rng(3)
-        for _ in range(120):
-            T = int(rng.integers(2, 7))
-            rx = rng.integers(0, 2, 2 * (T + 2)).tolist()
-            path = viterbi_decode(tr, rx)
-            dist, info = brute_force_decode(rate_half_parent, rx)
-            assert path.metric == dist
-            assert tuple(path.info) == info  # tie-break matches lexicographic
+        for code, trials, max_T in ((rate_half_parent, 120, 6), (rate_two_thirds, 40, 4)):
+            tr = build_trellis(code)
+            for _ in range(trials):
+                T = int(rng.integers(2, max_T + 1))
+                rx = rng.integers(0, 2, code.n * (T + code.m)).tolist()
+                path = viterbi_decode(tr, rx)
+                dist, info = brute_force_decode(code, rx)
+                assert path.metric == dist
+                assert tuple(path.info) == info  # tie-break matches lexicographic
 
     def test_ternary_roundtrip(self):
         code = ConvCode(PolyMatrix.from_coeffs([[[1], [1, 1]]], 3))
