@@ -25,9 +25,7 @@ from .qcc import (
     CatastrophicParentError,
     QccCode,
     build_qcc,
-    classical_stabilizer,
     codeword_form,
-    fourier_dual,
 )
 from .qviterbi import SyndromeSequence, build_error_trellis, qva_decode, streaming_decode
 from .statevec import StateVector, decode_step_eq1, encode_eq1, fidelity, verify_logical
@@ -51,13 +49,11 @@ __all__ = [
     "build_qcc",
     "build_trellis",
     "catastrophic_check",
-    "classical_stabilizer",
     "codeword_form",
     "decode_step_eq1",
     "encode_eq1",
     "encode_stream",
     "fidelity",
-    "fourier_dual",
     "minors",
     "poly_gcd",
     "qva_decode",

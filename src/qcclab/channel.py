@@ -10,16 +10,16 @@ margins are reported alongside the estimates.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import linalg
+from .convcode import StateCapError, size_cap
 from .pauli import PauliWindow
 from .qcc import QccCode
-from .qviterbi import ErrorTrellis, batch_decode, build_error_trellis
+from .qviterbi import DEFAULT_STATE_CAP, batch_decode, build_error_trellis
 
 
 class ChannelModel(Enum):
@@ -268,13 +268,100 @@ class DistanceReport:
     interior: tuple[int, int]
 
 
-def measure_distance(
-    code: QccCode,
-    interior: tuple[int, int] | None = None,
-    max_kernel_dim: int = 22,
-) -> DistanceReport:
-    """Exhaustive minimum weight of a syndrome-free, logically acting Pauli
-    supported on the interior register range [lo, hi); window-truncated."""
+def _interior_rows(mat: np.ndarray, L: int, lo: int, hi: int, p: int) -> np.ndarray:
+    """The symplectic rows `mat` (x | z over L registers) as functionals on
+    an operator supported on [lo, hi): z on x_j and -x on z_j, interleaved
+    per register, with zero and dependent rows dropped, in minimal span
+    form."""
+    rows = np.empty((len(mat), 2 * (hi - lo)), dtype=np.int64)
+    rows[:, 0::2] = mat[:, L + lo : L + hi]
+    rows[:, 1::2] = -mat[:, lo:hi] % p
+    rows = linalg.rref(rows, p)[0]
+    return linalg.minimal_span_basis(rows, p) if len(rows) else rows
+
+
+# path counts are exact int64; a sum past this raises instead of wrapping
+_COUNT_MAX = int(np.iinfo(np.int64).max)
+
+
+def _min_weight_count(gens: np.ndarray, logs: np.ndarray, p: int):
+    """(least weight, number of operators of that weight) among operators
+    on the registers of the interleaved rows that every row of `gens`
+    annihilates and some row of `logs` does not; None when there is none.
+
+    One forward pass in the (min, count) semiring over a trellis with one
+    section per register and its p^2 values (x, z) as branches, of weight
+    1 unless both are 0. A state holds the partial values of the rows open
+    across the boundary and a flag: a generator row must close at 0, and a
+    logical row closing at a nonzero value sets the flag. Paths and
+    operators correspond one to one, so the flagged final state holds the
+    answer. Minimal span form keeps the open rows few. Raises
+    StateCapError when a section would have more candidates (reached
+    states times branches) than the trellis state cap."""
+    rows = np.concatenate([gens, logs])
+    is_log = np.arange(len(rows)) >= len(gens)
+    n_regs = rows.shape[1] // 2
+    nz = rows != 0
+    first = nz.argmax(axis=1) // 2
+    last = (rows.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)) // 2
+    bx, bz = np.divmod(np.arange(p * p), p)
+    branch_wt = ((bx != 0) | (bz != 0)).astype(np.int64)
+    # the reached states only, each as flag + 2 * (values of the open rows
+    # in base p, first row lowest), with its least weight and path count
+    open_rows = np.zeros(0, dtype=np.int64)
+    state = np.zeros(1, dtype=np.int64)
+    wt = np.zeros(1, dtype=np.int64)
+    count = np.ones(1, dtype=np.int64)
+    cap = size_cap(None, DEFAULT_STATE_CAP)
+    for j in range(n_regs):
+        if len(state) * p * p > cap:
+            raise StateCapError(f"{len(state)} distance trellis states times {p * p} "
+                                f"branches exceed cap {cap}")
+        active = np.concatenate([open_rows, np.nonzero(first == j)[0]])
+        before = np.zeros((len(state), len(active)), dtype=np.int64)
+        before[:, : len(open_rows)] = state[:, None] // 2 // p ** np.arange(len(open_rows)) % p
+        closing = last[active] == j
+        gen_closing, log_closing = closing & ~is_log[active], closing & is_log[active]
+        open_rows = active[~closing]
+        place = p ** np.arange(len(open_rows))
+        flag = state % 2
+        ok = np.empty((len(state), p * p), dtype=bool)
+        keys = np.empty((len(state), p * p), dtype=np.int64)
+        for b in range(p * p):
+            vals = (before + bx[b] * rows[active, 2 * j] + bz[b] * rows[active, 2 * j + 1]) % p
+            ok[:, b] = ~vals[:, gen_closing].any(axis=1)
+            acted = flag | vals[:, log_closing].any(axis=1)
+            keys[:, b] = acted + 2 * (vals[:, ~closing] @ place)
+        s_idx, b_idx = np.nonzero(ok)
+        state, keys = np.unique(keys[s_idx, b_idx], return_inverse=True)
+        cand_wt = wt[s_idx] + branch_wt[b_idx]
+        cand_count = count[s_idx]
+        wt = np.full(len(state), n_regs + 1)  # above every weight
+        np.minimum.at(wt, keys, cand_wt)
+        at_min = cand_wt == wt[keys]
+        keys, cand_count = keys[at_min], cand_count[at_min]
+        if int(cand_count.max()) * int(np.bincount(keys).max()) > _COUNT_MAX:
+            exact = np.zeros(len(state), dtype=object)
+            np.add.at(exact, keys, cand_count.astype(object))
+            if max(exact) > _COUNT_MAX:
+                raise ValueError("number of minimum-weight operators exceeds int64")
+        count = np.zeros(len(state), dtype=np.int64)
+        np.add.at(count, keys, cand_count)
+    if state[-1] != 1:
+        return None
+    return int(wt[-1]), int(count[-1])
+
+
+def measure_distance(code: QccCode, interior: tuple[int, int] | None = None) -> DistanceReport:
+    """Minimum weight d of a syndrome-free, logically acting Pauli
+    supported on the interior register range [lo, hi), and the number of
+    such Paulis of weight d; window-truncated.
+
+    The result is exact, from one (min, count) pass over a trellis of the
+    generators and of all logicals restricted to the interior, sectioned
+    by register (`_min_weight_count`). There is no cap on the size of the
+    syndrome-free space; only a pass that would exceed the trellis state
+    cap raises StateCapError."""
     stab = code.stabilizer
     L, p = code.L, code.N
     step = code.regs_per_block
@@ -282,45 +369,13 @@ def measure_distance(
         right = -(-code.support_bound // step) * step
         interior = (step, L - right)
     lo, hi = interior
-    w = hi - lo
-    if w <= 0:
+    if hi <= lo:
         raise ValueError("empty interior range")
 
-    gen = stab._gen_matrix
-    gx, gz = gen[:, :L], gen[:, L:]
-    # syndrome map restricted to interior support, acting on (x | z) coords
-    syn_map = np.concatenate([gz[:, lo:hi], (-gx[:, lo:hi]) % p], axis=1)
-    ker = linalg.kernel(syn_map, p)
-    if len(ker) > max_kernel_dim:
-        raise ValueError(f"kernel dimension {len(ker)} exceeds cap {max_kernel_dim}")
-
-    log_rows = [op.symplectic() for op in stab.logical_z + stab.logical_x]
-    log_mat = np.array(log_rows, dtype=np.int64)
-    llx = log_mat[:, :L][:, lo:hi]
-    llz = log_mat[:, L:][:, lo:hi]
-
-    best = None
-    count = 0
-    dim = len(ker)
-    batch = 1 << 14
-    for start_idx in range(0, p**dim, batch):
-        idx = np.arange(start_idx, min(start_idx + batch, p**dim))
-        digits = np.empty((len(idx), dim), dtype=np.int64)
-        rem = idx.copy()
-        for j in range(dim):
-            digits[:, j] = rem % p
-            rem //= p
-        ops = (digits @ ker) % p
-        vx, vz = ops[:, :w], ops[:, w:]
-        acting = ((vx @ llz.T - vz @ llx.T) % p).any(axis=1)
-        if not acting.any():
-            continue
-        wts = ((vx[acting] != 0) | (vz[acting] != 0)).sum(axis=1)
-        mn = int(wts.min())
-        if best is None or mn < best:
-            best, count = mn, int((wts == mn).sum())
-        elif mn == best:
-            count += int((wts == mn).sum())
-    if best is None:
+    logicals = np.array([op.symplectic() for op in stab.logical_z + stab.logical_x],
+                        dtype=np.int64).reshape(-1, 2 * L)
+    found = _min_weight_count(_interior_rows(stab._gen_matrix, L, lo, hi, p),
+                              _interior_rows(logicals, L, lo, hi, p), p)
+    if found is None:
         raise ValueError("no logically acting operator in the interior range")
-    return DistanceReport(best, count, (lo, hi))
+    return DistanceReport(*found, (lo, hi))

@@ -297,7 +297,10 @@ def viterbi_decode(
         raise ValueError(f"received length must be a positive multiple of n={n}")
     if traceback is not None and traceback < 1:
         raise ValueError("traceback depth must be >= 1")
-    rec = np.asarray(received, dtype=np.int64).reshape(-1, n)
+    rec = np.asarray(received)
+    if rec.dtype.kind not in "biu" or ((rec < 0) | (rec >= code.p)).any():
+        raise ValueError(f"received symbols must be integers in GF({code.p}), 0..{code.p - 1}")
+    rec = rec.astype(np.int64).reshape(-1, n)
     T = rec.shape[0]
     if terminated and T <= m:
         raise ValueError("terminated stream shorter than the zero tail")

@@ -53,43 +53,6 @@ def encoding_matrix(code: ConvCode, n_blocks: int) -> np.ndarray:
     return M % p
 
 
-def classical_stabilizer(code: ConvCode, window_blocks: int) -> StabilizerWindow:
-    """Stabilizer form of a classical code on a window: Z-type generators
-    span the dual of the codeword space, spin flips re-encode unit info
-    vectors as X patterns, and phase shifts are dual info-readout vectors."""
-    if window_blocks < code.m + 1:
-        raise ValueError("window must cover at least m + 1 blocks")
-    _require_non_catastrophic(code)
-    p = code.p
-    A = encoding_matrix(code, window_blocks)
-    L, K = A.shape
-    dual = linalg.rref(linalg.kernel(A.T, p), p)[0]
-    gens = [PauliWindow(np.zeros(L), v, p) for v in dual]
-    log_x, log_z = [], []
-    for i in range(K):
-        d = linalg.solve(A.T, _unit(K, i), p)
-        assert d is not None  # A is injective on zero-history windows
-        log_x.append(PauliWindow(A[:, i], np.zeros(L), p))
-        log_z.append(PauliWindow(np.zeros(L), d, p))
-    return StabilizerWindow(gens, log_x, log_z, L=L, p=p)
-
-
-def fourier_dual(stab: StabilizerWindow) -> StabilizerWindow:
-    """Conjugate every operator by the local Fourier transform: X^a Z^b
-    becomes X^(-b) Z^a. Phases are dropped."""
-
-    def swap(op: PauliWindow) -> PauliWindow:
-        return PauliWindow((-op.z) % op.p, op.x, op.p)
-
-    return StabilizerWindow(
-        [swap(g) for g in stab.generators],
-        [swap(l) for l in stab.logical_x],
-        [swap(l) for l in stab.logical_z],
-        L=stab.L,
-        p=stab.p,
-    )
-
-
 def _unit(n: int, i: int) -> np.ndarray:
     e = np.zeros(n, dtype=np.int64)
     e[i] = 1

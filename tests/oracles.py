@@ -97,3 +97,77 @@ def min_weight_lex_correction(stab, target):
         return None
     weight, inter = best
     return weight, np.array(inter[0::2]), np.array(inter[1::2])
+
+
+def _interior_maps(code, interior):
+    """The default interior of `measure_distance` when none is given, and
+    the syndrome and logical-action maps restricted to it, acting on
+    (x | z) rows of the interior registers."""
+    stab, L, p, step = code.stabilizer, code.L, code.N, code.regs_per_block
+    if interior is None:
+        right = -(-code.support_bound // step) * step  # support_bound rounded up to blocks
+        interior = (step, L - right)
+    lo, hi = interior
+    if hi <= lo:
+        raise ValueError("empty interior range")
+    gen = np.array([g.symplectic() for g in stab.generators], dtype=np.int64)
+    log = np.array([op.symplectic() for op in stab.logical_z + stab.logical_x],
+                   dtype=np.int64)
+    # <row, (x | z)> is the symplectic product z_row . x - x_row . z
+    syn_map = np.concatenate([gen[:, L + lo:L + hi], -gen[:, lo:hi] % p], axis=1)
+    act_map = np.concatenate([log[:, L + lo:L + hi], -log[:, lo:hi] % p], axis=1)
+    return (lo, hi), syn_map, act_map
+
+
+def distance_by_enumeration(code, interior=None, batch=1 << 14):
+    """Exhaustive (d, A_d, interior): every syndrome-free operator on the
+    interior registers, as a combination of a kernel basis, is weighed when
+    it acts on some logical. Raises the ValueErrors of `measure_distance`."""
+    from qcclab import linalg
+
+    (lo, hi), syn_map, act_map = _interior_maps(code, interior)
+    p, w = code.N, hi - lo
+    ker = linalg.kernel(syn_map, p)
+    dim = len(ker)
+    best, count = None, 0
+    for start in range(0, p**dim, batch):
+        idx = np.arange(start, min(start + batch, p**dim))
+        digits = idx[:, None] // p ** np.arange(dim) % p
+        ops = digits @ ker % p
+        ops = ops[(ops @ act_map.T % p).any(axis=1)]
+        if not len(ops):
+            continue
+        wts = _weights(ops, w)
+        mn = int(wts.min())
+        if best is None or mn < best:
+            best, count = mn, 0
+        if mn == best:
+            count += int((wts == mn).sum())
+    if best is None:
+        raise ValueError("no logically acting operator in the interior range")
+    return best, count, (lo, hi)
+
+
+def acting_weights_up_to(code, max_weight, interior=None, batch=32):
+    """{weight: count} of the syndrome-free, logically acting operators on
+    the interior registers of weight at most max_weight, by listing every
+    operator of those weights: each support set with every nonzero (x, z)
+    on each of its registers."""
+    (lo, hi), syn_map, act_map = _interior_maps(code, interior)
+    p, w = code.N, hi - lo
+    # what one register j carrying the nonzero value v = (x, z) contributes
+    vals = np.array([(x, z) for x in range(p) for z in range(p)][1:])
+    maps = np.concatenate([syn_map, act_map])
+    unit = np.stack([vals[:, 0, None] * maps[:, j] + vals[:, 1, None] * maps[:, w + j]
+                     for j in range(w)])  # (register, value, functional)
+    n_syn = len(syn_map)
+    found = {}
+    for weight in range(1, max_weight + 1):
+        supports = np.array(list(itertools.combinations(range(w), weight)))
+        labels = np.array(list(itertools.product(range(len(vals)), repeat=weight)))
+        for start in range(0, len(supports), batch):
+            sup = supports[start:start + batch]
+            total = unit[sup[:, None, :], labels[None, :, :]].sum(axis=2) % p
+            hit = ~total[..., :n_syn].any(axis=-1) & total[..., n_syn:].any(axis=-1)
+            found[weight] = found.get(weight, 0) + int(hit.sum())
+    return {wt: n for wt, n in found.items() if n}

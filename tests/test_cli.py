@@ -4,9 +4,12 @@ import math
 import pytest
 
 from qcclab.channel import TrialReport
-from qcclab.cli import EXIT_INPUT, EXIT_OK, main
+from qcclab.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, main
 
 FLAGSHIP = {"p": 2, "k": 1, "n": 2, "G": [[[1, 0, 1], [1, 1, 1]]]}
+# (1 + D, 1 + D^2) over GF(2): both taps share the factor 1 + D
+CATASTROPHIC = {"p": 2, "k": 1, "n": 2, "G": [[[1, 1], [1, 0, 1]]]}
+RANK_DEFICIENT = {"p": 2, "k": 2, "n": 2, "G": [[[1], [1]], [[1], [1]]]}
 
 
 @pytest.fixture
@@ -43,13 +46,68 @@ def test_simulate_smallest_window_runs(flagship_file, capsys):
     ["--received", "[0, 0, 0, 0, 0, 0]", "--state-cap", "2"],
     ["--received", "[0, 0, 0]"],
     ["--received", "[0, 0, 0, 0, 0, 0]", "--traceback", "0"],
-], ids=["state-cap", "length-not-multiple-of-n", "traceback-0"])
+    ["--received", "[5, 7, 0, 0, 0, 0]"],
+    ["--received", "[-1, 0, 0, 0, 0, 0]"],
+    ["--received", "[1.5, 0, 0, 0, 0, 0]"],
+], ids=["state-cap", "length-not-multiple-of-n", "traceback-0", "symbol-above-p",
+        "negative-symbol", "fractional-symbol"])
 def test_viterbi_input_errors_exit_2_with_one_line(flagship_file, capsys, extra):
     assert main(["viterbi", "--code", flagship_file, *extra]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_simulate_reports_bounds_where_kernel_search_gave_up(flagship_file, capsys):
+    # W=12 has a 30-dimensional syndrome-free kernel on the interior
+    argv = ["simulate", "--code", flagship_file, "--p", "0.03", "--window", "12",
+            "--trials", "20"]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "note:" not in captured.err
+    pe_bound, pb_bound = (float(v) for v in captured.out.splitlines()[-1].split(",")[-2:])
+    assert math.isfinite(pe_bound) and math.isfinite(pb_bound)
+
+
+@pytest.mark.parametrize("argv, descriptor, code", [
+    (["check-catastrophic"], FLAGSHIP, EXIT_OK),
+    (["check-catastrophic"], CATASTROPHIC, EXIT_OK),
+    (["check-catastrophic"], RANK_DEFICIENT, EXIT_DOMAIN),
+    (["build-qcc"], FLAGSHIP, EXIT_OK),
+    (["build-qcc"], CATASTROPHIC, EXIT_DOMAIN),
+    (["build-qcc"], None, EXIT_INPUT),
+    (["build-qcc", "--window", "2"], FLAGSHIP, EXIT_INPUT),
+    (["print-stabilizers"], FLAGSHIP, EXIT_OK),
+    (["print-stabilizers"], CATASTROPHIC, EXIT_DOMAIN),
+    (["print-stabilizers"], None, EXIT_INPUT),
+    (["print-stabilizers", "--window", "2"], FLAGSHIP, EXIT_INPUT),
+], ids=["check-flagship", "check-catastrophic", "check-rank-deficient",
+        "build-flagship", "build-catastrophic", "build-missing-file", "build-window-2",
+        "print-flagship", "print-catastrophic", "print-missing-file", "print-window-2"])
+def test_exit_codes(tmp_path, capsys, argv, descriptor, code):
+    path = tmp_path / "code.json"
+    if descriptor is not None:
+        path.write_text(json.dumps(descriptor))
+    assert main([argv[0], "--code", str(path), *argv[1:]]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert captured.err == ""
+        assert captured.out
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_check_catastrophic_verdicts(tmp_path, capsys):
+    verdicts = []
+    for descriptor in (FLAGSHIP, CATASTROPHIC):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(descriptor))
+        assert main(["check-catastrophic", "--code", str(path)]) == EXIT_OK
+        verdicts.append(json.loads(capsys.readouterr().out)["verdict"])
+    assert verdicts == ["non-catastrophic", "catastrophic"]
 
 
 def test_simulate_output_independent_of_jobs(flagship_file, capsys):
