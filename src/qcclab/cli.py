@@ -82,7 +82,7 @@ def _build(args) -> QccCode:
     code = _load_code(args.code)
     try:
         return QccCode(code, args.window)
-    except CatastrophicParentError:
+    except (CatastrophicParentError, RankDeficientError):
         raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except CatastrophicParentError as exc:
+    except (CatastrophicParentError, RankDeficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

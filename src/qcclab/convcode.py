@@ -201,7 +201,7 @@ def step_keys(cost, label, n_states: int, n_labels: int, inf: int) -> np.ndarray
     return np.minimum(cost, inf).astype(dtype) * span + np.asarray(label, dtype=dtype)
 
 
-def viterbi(sections, start: np.ndarray, inf: int, depth: int | None = None):
+def viterbi(sections, start: np.ndarray, inf: int, settled=None):
     """Add-compare-select over `sections` for a batch of rows.
 
     `start` holds the metric of every state before the first section, one
@@ -217,10 +217,12 @@ def viterbi(sections, start: np.ndarray, inf: int, depth: int | None = None):
     label) wins, so every survivor, and the result, is the path of minimum
     cost and, among those, of lexicographically smallest labels.
 
-    With depth=None, one traceback from each row's best final survivor
-    gives the labels. With an integer depth, once `depth` sections are
-    pending, each section commits the oldest undecided label from the best
-    survivor; the labels not committed come from the best final survivor.
+    With settled=None, one traceback from each row's best final survivor
+    gives the labels. Otherwise `settled` holds, for every section, how
+    many leading labels are committed once it is done, a non-decreasing
+    count: whenever it grows, the new labels are committed from the best
+    survivor at that point. The labels not committed come from the best
+    final survivor.
     Returns the labels (rows, sections) and each row's final metric and
     final state.
     """
@@ -240,9 +242,10 @@ def viterbi(sections, start: np.ndarray, inf: int, depth: int | None = None):
         winners.append((prev, best % n_labels))
         metric = np.minimum(best // span, inf).astype(np.int64)
         rank = (best % span).argsort(axis=1).argsort(axis=1)
-        if depth is not None and t + 1 >= depth:
-            oldest = _traceback(winners[labels.shape[1] :], _best_state(metric, rank))
-            labels = np.hstack([labels, oldest[:, :1]])
+        done = labels.shape[1]
+        if settled is not None and settled[t] > done:
+            pending = _traceback(winners[done:], _best_state(metric, rank))
+            labels = np.hstack([labels, pending[:, : settled[t] - done]])
     end = _best_state(metric, rank)
     labels = np.hstack([labels, _traceback(winners[labels.shape[1] :], end)])
     return labels, metric[np.arange(len(metric)), end], end
@@ -322,7 +325,10 @@ def viterbi_decode(
 
     start = np.full((1, S), inf)
     start[0, 0] = 0
-    labels, metric, end = viterbi(sections(), start, inf, traceback)
+    # with a traceback depth, the oldest pending label settles after each
+    # section once `traceback` sections are pending
+    settled = None if traceback is None else [max(0, t + 2 - traceback) for t in range(T)]
+    labels, metric, end = viterbi(sections(), start, inf, settled)
     info = [u for label in labels[0] for u in inputs[by_label[label]]]
     if terminated:
         info = info[: k * (T - m)]

@@ -21,20 +21,17 @@ def rref(M, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r >= rows:
             break
-        sel = None
-        for rr in range(r, rows):
-            if R[rr, c] % p:
-                sel = rr
-                break
-        if sel is None:
+        # any row with a nonzero entry will do: the reduced form is unique
+        sel = r + int(R[r:, c].argmax())
+        if not R[sel, c]:
             continue
         if sel != r:
             R[[r, sel]] = R[[sel, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = (R[r] * inv) % p
-        for rr in range(rows):
-            if rr != r and R[rr, c]:
-                R[rr] = (R[rr] - R[rr, c] * R[r]) % p
+        R[r] = R[r] * pow(int(R[r, c]), p - 2, p) % p
+        factor = R[:, c].copy()
+        factor[r] = 0
+        R -= factor[:, None] * R[r]
+        R %= p
         pivots.append(c)
         r += 1
     return R[: len(pivots)], pivots
@@ -45,17 +42,21 @@ def rank(M, p: int) -> int:
 
 
 def solve(M, b, p: int) -> np.ndarray | None:
-    """One solution of M x = b mod p, or None if inconsistent."""
+    """One solution of M x = b mod p, or None if inconsistent.
+
+    `b` is a vector or a matrix with one right-hand side per column; a
+    matrix gives a matrix x, from one elimination, and None if any column
+    is inconsistent."""
     M = _as_matrix(M)
     b = np.asarray(b, dtype=np.int64) % p
-    aug = np.concatenate([M % p, b.reshape(-1, 1)], axis=1)
-    R, pivots = rref(aug, p)
-    if (len(pivots) and pivots[-1] == M.shape[1]):
+    rhs = b[:, None] if b.ndim == 1 else b
+    n = M.shape[1]
+    R, pivots = rref(np.concatenate([M % p, rhs], axis=1), p)
+    if len(pivots) and pivots[-1] >= n:
         return None
-    x = np.zeros(M.shape[1], dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, -1]
-    return x
+    x = np.zeros((n, rhs.shape[1]), dtype=np.int64)
+    x[pivots] = R[:, n:]
+    return x.reshape((n,) + b.shape[1:])
 
 
 def kernel(M, p: int) -> np.ndarray:
@@ -79,46 +80,29 @@ def in_rowspan(v, M, p: int) -> bool:
 
 
 def minimal_span_basis(vectors, p: int) -> np.ndarray:
-    """Row-equivalent basis in minimal span form.
+    """Row-equivalent basis in minimal span form, rows sorted by start.
 
-    Greedy reduction until all start positions are distinct and all end
-    positions are distinct; minimizes trellis state complexity for the
-    span measure over the given column order.
-    """
-    B = [row.copy() % p for row in _as_matrix(vectors)]
-    B = [row for row in B if row.any()]
-
-    def ends(row):
-        nz = np.nonzero(row)[0]
-        return int(nz[0]), int(nz[-1])
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(B)):
-            for j in range(len(B)):
-                if i == j:
-                    continue
-                si, ei = ends(B[i])
-                sj, ej = ends(B[j])
-                # eliminate shared starts from the shorter-span row onward
-                if si == sj:
-                    tgt, src = (i, j) if (ei - si) >= (ej - sj) else (j, i)
-                    c = (B[tgt][si] * pow(int(B[src][si]), p - 2, p)) % p
-                    B[tgt] = (B[tgt] - c * B[src]) % p
-                    if not B[tgt].any():
-                        raise ValueError("dependent rows in minimal span reduction")
-                    changed = True
-                    break
-                if ei == ej:
-                    tgt, src = (i, j) if (ei - si) >= (ej - sj) else (j, i)
-                    c = (B[tgt][ei] * pow(int(B[src][ei]), p - 2, p)) % p
-                    B[tgt] = (B[tgt] - c * B[src]) % p
-                    if not B[tgt].any():
-                        raise ValueError("dependent rows in minimal span reduction")
-                    changed = True
-                    break
-            if changed:
-                break
-    order = np.argsort([ends(row)[0] for row in B], kind="stable")
-    return np.array([B[i] for i in order], dtype=np.int64)
+    Two passes (Kschischang and Sorokine): `rref` makes the starts
+    distinct; then, right to left over the columns, every other row that
+    ends in the column is reduced by the row ending there with the latest
+    start, which moves its end left and never moves a start. Distinct
+    starts and distinct ends characterise minimal span form, which
+    minimises the trellis state complexity over the given column order.
+    Zero rows are dropped; dependent rows raise ValueError."""
+    M = _as_matrix(vectors) % p
+    M = M[M.any(axis=1)]
+    R, pivots = rref(M, p)
+    if len(pivots) < len(M):
+        raise ValueError("dependent rows in minimal span reduction")
+    cols = R.shape[1]
+    ends = cols - 1 - (R[:, ::-1] != 0).argmax(axis=1)
+    for c in range(cols - 1, -1, -1):
+        group = np.flatnonzero(ends == c)
+        if len(group) < 2:
+            continue
+        # rows are in start order, so the last of the group starts latest
+        ref, rest = group[-1], group[:-1]
+        scale = R[rest, c] * pow(int(R[ref, c]), p - 2, p) % p
+        R[rest] = (R[rest] - scale[:, None] * R[ref]) % p
+        ends[rest] = cols - 1 - (R[rest, ::-1] != 0).argmax(axis=1)
+    return R

@@ -101,6 +101,11 @@ class QccCode:
     def __post_init__(self) -> None:
         _require_non_catastrophic(self.parent)
         k, n = self.parent.k, self.parent.n
+        if (n * n) % k:
+            raise ValueError(
+                f"k={k} does not divide n^2={n * n}, so a block of the parent "
+                f"has no whole number of registers"
+            )
         if (n * self.window_blocks) % k:
             raise ValueError(
                 f"window of {self.window_blocks} blocks is incompatible with the "
@@ -260,15 +265,23 @@ def _extract_templates(code: QccCode) -> tuple[Template, ...]:
 
 
 def _normalize(op: PauliWindow) -> tuple[PauliWindow, int]:
+    """The operator cut to its support and scaled so that its first
+    nonzero (x_j, z_j) entry is 1, so that a pattern does not depend on
+    the basis it was read from; and the start of its support."""
     sup = np.nonzero((op.x != 0) | (op.z != 0))[0]
     start = int(sup[0])
     end = int(sup[-1]) + 1
-    return PauliWindow(op.x[start:end], op.z[start:end], op.p), start
+    lead = op.x[start] or op.z[start]
+    scale = pow(int(lead), op.p - 2, op.p)
+    x = op.x[start:end] * scale % op.p
+    z = op.z[start:end] * scale % op.p
+    return PauliWindow(x, z, op.p), start
 
 
 def _periodic_patterns(kind, ops, step, L) -> list[Template]:
     """Keep patterns that reappear shifted by the step, one representative
-    per offset class, skipping boundary-truncated instances."""
+    per offset class, skipping boundary-truncated instances; listed by
+    offset."""
     seen: dict[tuple, Template] = {}
     counts: dict[tuple, int] = {}
     for op in ops:
@@ -278,7 +291,8 @@ def _periodic_patterns(kind, ops, step, L) -> list[Template]:
         key = (pat.x.tobytes(), pat.z.tobytes(), start % step)
         counts[key] = counts.get(key, 0) + 1
         seen.setdefault(key, Template(kind, pat, start % step, step))
-    return [t for key, t in seen.items() if counts[key] >= 2]
+    kept = [t for key, t in seen.items() if counts[key] >= 2]
+    return sorted(kept, key=lambda t: t.offset)
 
 
 def build_qcc(parent: ConvCode, window_blocks: int) -> QccCode:

@@ -1,14 +1,17 @@
 """Minimum-weight Pauli recovery from syndromes by trellis search.
 
-The window's registers are processed in blocks. A trellis state at a block
-boundary records, for every generator whose support straddles the boundary,
-the partial syndrome accumulated so far; this is exactly the information
-future generators can still see, so the dynamic program is an exact
-minimum-weight search. Branch metric is the Pauli weight of the block's
-error pattern. Every decoder here runs `convcode.viterbi`, with its one
-tie-break rule: among corrections of minimum weight, the lexicographically
-smallest sequence of branch indices wins, which is the smallest
-register-interleaved (x, z) assignment.
+The window's registers are cut into sections, one or more per block of the
+parent code, chosen so that decoding does the least work (`ErrorTrellis`).
+A trellis state at a section boundary records, for every generator whose
+support straddles the boundary, the partial syndrome accumulated so far;
+this is exactly the information future generators can still see, so the
+dynamic program is an exact minimum-weight search. Branch metric is the
+Pauli weight of the section's error pattern. A path is the same error
+whatever the cuts, and every decoder here runs `convcode.viterbi`, with
+its one tie-break rule: among corrections of minimum weight, the
+lexicographically smallest sequence of branch indices wins, which is the
+smallest register-interleaved (x, z) assignment. So costs and corrections
+depend neither on the cuts nor on the generator basis.
 """
 
 from __future__ import annotations
@@ -51,12 +54,52 @@ def _digits(width: int, p: int) -> np.ndarray:
     return np.arange(p**width)[:, None] // p ** np.arange(width - 1, -1, -1) % p
 
 
-class ErrorTrellis:
-    """Block trellis over a stabilizer window.
+def _section_bounds(n_open: np.ndarray, last: np.ndarray, block_regs: int, p: int):
+    """Register boundaries that cut each block into the sections of least
+    decoding work (Lafourcade and Vardy's dynamic program for trellis
+    sectionalisation); every block boundary is a cut.
 
-    Generators are re-based to minimal span form so boundary states stay
-    small; the syndrome transform back to the window's generator order is
-    kept so observed syndromes can be fed in directly.
+    With o_j the rows open across boundary j and c(a, b) the rows whose
+    last register lies in [a, b), a decoded row visits p^(o_a + 2(b-a) -
+    c(a, b)) candidates in section [a, b), the group its closing values
+    select, and ranks p^(o_b) survivors after it. The cuts minimise the sum
+    of both over the sections; one section per block is among the choices.
+    """
+    L = len(n_open) - 1
+    closed = np.concatenate([[0], np.cumsum(np.bincount(last, minlength=L))])
+
+    def work(a: int, b: int) -> int:
+        o_a, o_b = int(n_open[a]), int(n_open[b])
+        return p ** (o_a + 2 * (b - a) - int(closed[b] - closed[a])) + p**o_b
+
+    bounds = [0]
+    for lo in range(0, L, block_regs):
+        hi = min(L, lo + block_regs)
+        # best[b]: least work to reach boundary b from lo, and the cut before b
+        best = {lo: (0, lo)}
+        for b in range(lo + 1, hi + 1):
+            best[b] = min((best[a][0] + work(a, b), a) for a in range(lo, b))
+        cuts = [hi]
+        while best[cuts[-1]][1] != lo:
+            cuts.append(best[cuts[-1]][1])
+        bounds += reversed(cuts)
+    return tuple(bounds)
+
+
+class ErrorTrellis:
+    """Register-sectioned trellis over a stabilizer window.
+
+    Generators are re-based to minimal span form over the register-
+    interleaved (x_j, z_j) columns, so that few are open across any
+    register boundary; the change of basis back to the window's generator
+    order is kept so observed syndromes can be fed in directly.
+
+    Every block of `block_regs` registers is cut into the sections of
+    least decoding work (`_section_bounds`); `bounds` lists the cuts in
+    registers and includes every block boundary. A section's branches are
+    the error patterns on its registers. `n_blocks`, `first_block`,
+    `last_block` and `n_states(t)` count blocks, and `max_open` covers
+    every section boundary.
     """
 
     def __init__(self, stab: StabilizerWindow, block_regs: int, state_cap: int | None = None):
@@ -67,7 +110,7 @@ class ErrorTrellis:
         self.L = stab.L
         self.block_regs = block_regs
         self.n_blocks = -(-self.L // block_regs)
-        p = self.p
+        p, L = self.p, self.L
 
         gen_matrix = np.array(
             [g.symplectic() for g in stab.generators], dtype=np.int64
@@ -76,63 +119,54 @@ class ErrorTrellis:
             raise ValueError("trellis needs at least one generator")
         # interleave (x_j, z_j) per register so span reflects register order
         inter = np.empty_like(gen_matrix)
-        inter[:, 0::2] = gen_matrix[:, : self.L]
-        inter[:, 1::2] = gen_matrix[:, self.L :]
+        inter[:, 0::2] = gen_matrix[:, :L]
+        inter[:, 1::2] = gen_matrix[:, L:]
         mss = linalg.minimal_span_basis(inter, p)
         self.G = len(mss)
-        self.gen_x = np.empty((self.G, self.L), dtype=np.int64)
-        self.gen_z = np.empty((self.G, self.L), dtype=np.int64)
-        self.gen_x[:] = mss[:, 0::2]
-        self.gen_z[:] = mss[:, 1::2]
-        # syndrome transform: mss generator = combo of window generators
-        self.transform = np.zeros((self.G, len(stab.generators)), dtype=np.int64)
-        for i in range(self.G):
-            row = np.concatenate([self.gen_x[i], self.gen_z[i]])
-            coeffs = linalg.solve(gen_matrix.T, row, p)
-            if coeffs is None:
-                raise AssertionError("minimal span row left the generator space")
-            self.transform[i] = coeffs
+        self.gen_x = np.ascontiguousarray(mss[:, 0::2])
+        self.gen_z = np.ascontiguousarray(mss[:, 1::2])
+        # syndrome transform: minimal span row i is transform[i] @ gen_matrix
+        coeffs = linalg.solve(gen_matrix.T, np.hstack([self.gen_x, self.gen_z]).T, p)
+        if coeffs is None:
+            raise AssertionError("minimal span row left the generator space")
+        self.transform = coeffs.T
 
         sup = (self.gen_x != 0) | (self.gen_z != 0)
-        firsts = [int(np.nonzero(s)[0][0]) // block_regs for s in sup]
-        lasts = [int(np.nonzero(s)[0][-1]) // block_regs for s in sup]
-        self.first_block = np.array(firsts)
-        self.last_block = np.array(lasts)
+        self._first = sup.argmax(axis=1)
+        self._last = L - 1 - sup[:, ::-1].argmax(axis=1)
+        self.first_block = self._first // block_regs
+        self.last_block = self._last // block_regs
+        # rows open across each register boundary j: first < j <= last
+        j = np.arange(L + 1)
+        self._n_open = ((self._first[:, None] < j) & (j <= self._last[:, None])).sum(axis=0)
+        self.bounds = _section_bounds(self._n_open, self._last, block_regs, p)
 
-        self.open_at: list[list[int]] = []  # open before each block boundary
-        for t in range(self.n_blocks + 1):
-            self.open_at.append(
-                [g for g in range(self.G) if self.first_block[g] < t <= self.last_block[g]]
-            )
-        max_open = max(len(o) for o in self.open_at)
+        max_open = max(int(self._n_open[b]) for b in self.bounds)
         cap = size_cap(state_cap, DEFAULT_STATE_CAP)
         if p ** max_open > cap:
             raise StateCapError(
                 f"{p}^{max_open} trellis states exceed cap {cap}"
             )
         self.max_open = max_open
-        self._blocks = [self._block_tables(t) for t in range(self.n_blocks)]
+        self._sections = [self._section_tables(lo, hi)
+                          for lo, hi in zip(self.bounds, self.bounds[1:])]
 
     def n_states(self, boundary: int) -> int:
-        return self.p ** len(self.open_at[boundary])
+        """Trellis states at block boundary `boundary`."""
+        return self.p ** int(self._n_open[min(boundary * self.block_regs, self.L)])
 
-    def _block_tables(self, t: int):
+    def _section_tables(self, lo: int, hi: int):
         p = self.p
-        lo = t * self.block_regs
-        hi = min(self.L, lo + self.block_regs)
         pats = _digits(2 * (hi - lo), p)
         bx = pats[:, 0::2]
         bz = pats[:, 1::2]
         wt = ((bx != 0) | (bz != 0)).sum(axis=1)
 
-        active = [
-            g
-            for g in range(self.G)
-            if self.first_block[g] <= t <= self.last_block[g]
-        ]
-        open_prev = self.open_at[t]
-        open_next = self.open_at[t + 1]
-        closing = [g for g in active if self.last_block[g] == t]
+        first, last = self._first, self._last
+        active = [g for g in range(self.G) if first[g] < hi and last[g] >= lo]
+        open_prev = [g for g in active if first[g] < lo]
+        open_next = [g for g in active if last[g] >= hi]
+        closing = [g for g in active if last[g] < hi]
         S_prev = p ** len(open_prev)
         n_branch = len(pats)
         states = _digits(len(open_prev), p)
@@ -192,20 +226,20 @@ def _as_trellis(code, state_cap: int | None = None) -> ErrorTrellis:
     return build_error_trellis(code, state_cap=state_cap)
 
 
-def _decode(trellis: ErrorTrellis, syndromes, depth: int | None = None):
-    """Branch indices (rows, blocks) and costs of the minimum-weight
-    corrections of a batch of syndromes."""
+def _decode(trellis: ErrorTrellis, syndromes, settled=None):
+    """Branch indices (rows, sections) and costs of the minimum-weight
+    corrections of a batch of syndromes; `settled` as in `viterbi`."""
     targets = np.atleast_2d(trellis.map_syndrome(syndromes))
     p, inf = trellis.p, trellis.L + 1
 
     def sections():
-        for tab in trellis._blocks:
+        for tab in trellis._sections:
             group = np.zeros(len(targets), dtype=np.int64)
             for g in tab["closing"]:
                 group = group * p + targets[:, g]
             yield tab["src"][group], tab["step"][group], len(tab["bx"])
 
-    labels, cost, _ = viterbi(sections(), np.zeros((len(targets), 1)), inf, depth)
+    labels, cost, _ = viterbi(sections(), np.zeros((len(targets), 1)), inf, settled)
     if (cost >= inf).any():
         raise ValueError("syndrome is inconsistent with the generator set")
     return labels, cost
@@ -215,10 +249,23 @@ def _corrections(trellis: ErrorTrellis, labels: np.ndarray):
     """(x, z) arrays of shape (rows, L) of the branches in `labels`."""
     x = np.zeros((len(labels), trellis.L), dtype=np.int64)
     z = np.zeros((len(labels), trellis.L), dtype=np.int64)
-    for t, tab in enumerate(trellis._blocks):
-        x[:, tab["lo"] : tab["hi"]] = tab["bx"][labels[:, t]]
-        z[:, tab["lo"] : tab["hi"]] = tab["bz"][labels[:, t]]
+    for s, tab in enumerate(trellis._sections):
+        x[:, tab["lo"] : tab["hi"]] = tab["bx"][labels[:, s]]
+        z[:, tab["lo"] : tab["hi"]] = tab["bz"][labels[:, s]]
     return x, z
+
+
+def _block_labels(trellis: ErrorTrellis, x: np.ndarray, z: np.ndarray) -> tuple[int, ...]:
+    """Each block's error pattern as its index among all patterns of the
+    block, in register-interleaved (x, z) digit order."""
+    p, br = trellis.p, trellis.block_regs
+    labels = []
+    for lo in range(0, trellis.L, br):
+        label = 0
+        for xj, zj in zip(x[lo : lo + br], z[lo : lo + br]):
+            label = (label * p + int(xj)) * p + int(zj)
+        labels.append(label)
+    return tuple(labels)
 
 
 def qva_decode(
@@ -226,14 +273,15 @@ def qva_decode(
     syn: SyndromeSequence | Sequence[int],
     state_cap: int | None = None,
 ) -> RecoveryPath:
-    """Minimum-weight Pauli correction consistent with the syndrome."""
+    """Minimum-weight Pauli correction consistent with the syndrome; its
+    `branches` are the block patterns (`_block_labels`)."""
     trellis = _as_trellis(code, state_cap)
     values = np.asarray(syn.values if isinstance(syn, SyndromeSequence) else syn, dtype=np.int64)
     labels, cost = _decode(trellis, values)
     x, z = _corrections(trellis, labels)
     correction = PauliWindow(x[0], z[0], trellis.p)
     assert np.array_equal(trellis.stab.syndrome(correction) % trellis.p, values % trellis.p)
-    return RecoveryPath(correction, int(cost[0]), tuple(int(b) for b in labels[0]))
+    return RecoveryPath(correction, int(cost[0]), _block_labels(trellis, x[0], z[0]))
 
 
 def batch_decode(
@@ -263,10 +311,11 @@ def streaming_decode(
 ) -> list[RecoveryPath]:
     """Blockwise decoding with commits at a fixed latency.
 
-    Runs the same dynamic program but commits the oldest undecided block
-    from the current best survivor once `traceback` blocks are pending;
-    on widely separated errors the committed corrections agree with the
-    full-window decoder. Returns one segment per block.
+    Runs the same dynamic program but, once `traceback` blocks are
+    pending, commits every section of the oldest undecided block from the
+    current best survivor at each block end; on widely separated errors
+    the committed corrections agree with the full-window decoder. Returns
+    one segment per block.
     """
     trellis = _as_trellis(code)
     min_tb = max(
@@ -274,14 +323,22 @@ def streaming_decode(
     )
     if traceback < min_tb:
         raise ValueError(f"traceback {traceback} below minimum {min_tb}")
-    labels, _ = _decode(trellis, syn, traceback)
+    L, br = trellis.L, trellis.block_regs
+    ends = np.array(trellis.bounds[1:])
+    # blocks complete after each section, then the sections of the blocks
+    # settled by then
+    done = np.where(ends == L, trellis.n_blocks, ends // br)
+    settled_end = np.minimum(L, np.maximum(0, done + 1 - traceback) * br)
+    settled = np.searchsorted(ends, settled_end, side="right")
+    labels, _ = _decode(trellis, syn, settled)
     x, z = _corrections(trellis, labels)
+    blocks = _block_labels(trellis, x[0], z[0])
     segments = []
-    for t, tab in enumerate(trellis._blocks):
-        sx = np.zeros(trellis.L, dtype=np.int64)
-        sz = np.zeros(trellis.L, dtype=np.int64)
-        sx[tab["lo"] : tab["hi"]] = x[0, tab["lo"] : tab["hi"]]
-        sz[tab["lo"] : tab["hi"]] = z[0, tab["lo"] : tab["hi"]]
+    for t, lo in enumerate(range(0, L, br)):
+        sx = np.zeros(L, dtype=np.int64)
+        sz = np.zeros(L, dtype=np.int64)
+        sx[lo : lo + br] = x[0, lo : lo + br]
+        sz[lo : lo + br] = z[0, lo : lo + br]
         corr = PauliWindow(sx, sz, trellis.p)
-        segments.append(RecoveryPath(corr, corr.weight(), (int(labels[0, t]),)))
+        segments.append(RecoveryPath(corr, corr.weight(), (blocks[t],)))
     return segments

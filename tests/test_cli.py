@@ -10,6 +10,8 @@ FLAGSHIP = {"p": 2, "k": 1, "n": 2, "G": [[[1, 0, 1], [1, 1, 1]]]}
 # (1 + D, 1 + D^2) over GF(2): both taps share the factor 1 + D
 CATASTROPHIC = {"p": 2, "k": 1, "n": 2, "G": [[[1, 1], [1, 0, 1]]]}
 RANK_DEFICIENT = {"p": 2, "k": 2, "n": 2, "G": [[[1], [1]], [[1], [1]]]}
+# a non-catastrophic rate-2/3 parent: k=2 does not divide n^2=9
+RATE_TWO_THIRDS = {"p": 2, "k": 2, "n": 3, "G": [[[1, 1], [1, 0], [1, 0]], [[1], [0, 1], [1, 0]]]}
 
 
 @pytest.fixture
@@ -82,9 +84,16 @@ def test_simulate_reports_bounds_where_kernel_search_gave_up(flagship_file, caps
     (["print-stabilizers"], CATASTROPHIC, EXIT_DOMAIN),
     (["print-stabilizers"], None, EXIT_INPUT),
     (["print-stabilizers", "--window", "2"], FLAGSHIP, EXIT_INPUT),
+    (["build-qcc"], RANK_DEFICIENT, EXIT_DOMAIN),
+    (["print-stabilizers"], RANK_DEFICIENT, EXIT_DOMAIN),
+    (["check-catastrophic"], RATE_TWO_THIRDS, EXIT_OK),
+    (["build-qcc", "--window", "4"], RATE_TWO_THIRDS, EXIT_INPUT),
+    (["print-stabilizers", "--window", "4"], RATE_TWO_THIRDS, EXIT_INPUT),
 ], ids=["check-flagship", "check-catastrophic", "check-rank-deficient",
         "build-flagship", "build-catastrophic", "build-missing-file", "build-window-2",
-        "print-flagship", "print-catastrophic", "print-missing-file", "print-window-2"])
+        "print-flagship", "print-catastrophic", "print-missing-file", "print-window-2",
+        "build-rank-deficient", "print-rank-deficient", "check-rate-2/3",
+        "build-rate-2/3", "print-rate-2/3"])
 def test_exit_codes(tmp_path, capsys, argv, descriptor, code):
     path = tmp_path / "code.json"
     if descriptor is not None:
@@ -98,6 +107,8 @@ def test_exit_codes(tmp_path, capsys, argv, descriptor, code):
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        if descriptor is RATE_TWO_THIRDS:
+            assert "does not divide" in captured.err
 
 
 def test_check_catastrophic_verdicts(tmp_path, capsys):

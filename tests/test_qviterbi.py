@@ -71,6 +71,25 @@ def long_window():
     return code, build_error_trellis(code)
 
 
+# streaming_decode at traceback 6 on flagship W=12 for the syndromes of
+# sampled_syndromes(code, 12, p_err=0.1, seed=21), recorded when each block
+# was one trellis section; the cuts must not change them
+STREAMED_AT_6 = [
+    "IIIIIYIXIIIIIXIIIIIIIIIIIIIIIIIIIIIIIIIIXIZIIIII",
+    "IIIIIIIIIIIIIIYIIIIIIIIIIIIIIIIIIIIIIIYIIIIIIIII",
+    "IIIIIIIIIIIIIYIIIIIIIYIIIIIIXIIIIIXIIIIZIIIIIIII",
+    "IIIIIIIZIIIIYIIIIIIIIIXIXIIXIIIIIIIIIIIIIIIIIIII",
+    "XIIIIIIIYIIIIIIIIIIIIXIIIIIIIIYXIIIIIIIZIIIIIIII",
+    "IIIIIIIIIIIIIIIIIXIIIIIIIIYXIIIIIIIIIXIIIIIIIIII",
+    "IXIIIIIIXIIIIIIIXIIIIIIIIIIIIXIIIXIIIIIXIXIIIIII",
+    "IIIIIIIIIIXZIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIZI",
+    "XIIIIXIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII",
+    "IIIIXIXIIIIIIIIIIIYXIIIIIIIIIIIIIIIIIXIIIIIIXIII",
+    "IIIIIIXIIIIIIIIIIXZIIIIIIIIIIIIIIIIIIIIIIIZIIXII",
+    "IYIIIIIIIIYIIIIIIIIIIIIIIIIXIIIIIIIIYIIIXIIIIIII",
+]
+
+
 class TestStreaming:
     def test_matches_full_window_on_isolated_errors(self, long_window):
         code, trellis = long_window
@@ -86,6 +105,25 @@ class TestStreaming:
             assert len(segments) == trellis.n_blocks
             assert np.array_equal(sum(s.correction.x for s in segments), full.x)
             assert np.array_equal(sum(s.correction.z for s in segments), full.z)
+
+    def test_long_traceback_equals_full_window_decoder(self, long_window):
+        code, trellis = long_window
+        for syn in sampled_syndromes(code, 20, p_err=0.1, seed=14):
+            full = qva_decode(trellis, syn)
+            for traceback in (trellis.n_blocks, trellis.n_blocks + 3):
+                segments = streaming_decode(trellis, syn, traceback)
+                assert np.array_equal(sum(s.correction.x for s in segments), full.correction.x)
+                assert np.array_equal(sum(s.correction.z for s in segments), full.correction.z)
+                assert tuple(b for s in segments for b in s.branches) == full.branches
+
+    def test_short_traceback_reproduces_recorded_corrections(self, long_window):
+        code, trellis = long_window
+        for syn, want in zip(sampled_syndromes(code, 12, p_err=0.1, seed=21), STREAMED_AT_6):
+            segments = streaming_decode(trellis, syn, traceback=6)
+            assert len(segments) == trellis.n_blocks
+            x = sum(s.correction.x for s in segments)
+            z = sum(s.correction.z for s in segments)
+            assert PauliWindow(x, z, 2).to_string() == want
 
     def test_rejects_traceback_below_minimum(self, long_window):
         code, trellis = long_window
@@ -109,3 +147,65 @@ class TestStateCap:
             build_error_trellis(small_code("p2"))
         with pytest.raises(StateCapError):
             StateVector.basis(2, 2, [0, 0])
+
+
+def _decoding_work(trellis, bounds):
+    """The work the section cuts `bounds` cost, from the generator spans:
+    per section [a, b), p^(o_a + 2(b-a) - c(a, b)) candidates and p^(o_b)
+    survivors, with o_j the generators open across boundary j and c(a, b)
+    those whose last register lies in [a, b)."""
+    sup = (trellis.gen_x != 0) | (trellis.gen_z != 0)
+    first = sup.argmax(axis=1)
+    last = trellis.L - 1 - sup[:, ::-1].argmax(axis=1)
+    p = trellis.p
+
+    def n_open(j):
+        return int(((first < j) & (j <= last)).sum())
+
+    return sum(
+        p ** (n_open(a) + 2 * (b - a) - int(((a <= last) & (last < b)).sum())) + p ** n_open(b)
+        for a, b in zip(bounds, bounds[1:])
+    )
+
+
+RATE_THIRD = {"p": 2, "k": 1, "n": 3, "G": [[[1, 1], [1, 0, 1], [1, 1, 1]]]}
+WIDE = {"p": 2, "k": 2, "n": 4, "G": [[[1, 1], [1], [0, 1], [1, 1]],
+                                      [[0, 1], [1, 1], [1], [1]]]}
+
+
+@pytest.mark.parametrize("parent, p, window", [
+    (SMALL["p2"][0], 2, 10), (SMALL["p2"][0], 3, 10), (WIDE, 2, 4), (RATE_THIRD, 2, 4),
+], ids=["flagship-p2", "flagship-p3", "rate-2/4", "rate-1/3"])
+def test_sections_are_the_least_work_cuts_of_each_block(parent, p, window):
+    if isinstance(parent, dict):
+        code = QccCode(ConvCode.from_json(parent), window)
+    else:
+        code = QccCode(ConvCode(PolyMatrix.from_coeffs(parent, p)), window)
+    trellis = build_error_trellis(code)
+    br, L = trellis.block_regs, trellis.L
+    blocks = list(range(0, L, br)) + [L]
+    assert set(blocks) <= set(trellis.bounds)
+    assert list(trellis.bounds) == sorted(set(trellis.bounds))
+    assert _decoding_work(trellis, trellis.bounds) <= _decoding_work(trellis, blocks)
+    # every subset of the interior cuts of every block, one block at a time
+    for lo, hi in zip(blocks, blocks[1:]):
+        chosen = [b for b in trellis.bounds if lo <= b <= hi]
+        inner = range(lo + 1, hi)
+        least = min(
+            _decoding_work(trellis, [lo, *(c for i, c in enumerate(inner) if mask >> i & 1), hi])
+            for mask in range(1 << len(inner))
+        )
+        assert _decoding_work(trellis, chosen) == least
+
+
+def test_rate_third_parent_decodes_under_the_default_cap():
+    code = QccCode(ConvCode.from_json(RATE_THIRD), 4)
+    trellis = build_error_trellis(code)
+    syns = sampled_syndromes(code, 24, p_err=0.1, seed=15)
+    xs, zs, costs = batch_decode(trellis, syns, chunk=10)
+    for row, syn in enumerate(syns):
+        rec = qva_decode(trellis, syn)
+        assert np.array_equal(xs[row], rec.correction.x)
+        assert np.array_equal(zs[row], rec.correction.z)
+        assert costs[row] == rec.cost == rec.correction.weight()
+        assert np.array_equal(code.stabilizer.syndrome(PauliWindow(xs[row], zs[row], 2)), syn)
