@@ -19,7 +19,7 @@ from . import linalg
 from .convcode import StateCapError, size_cap
 from .pauli import PauliWindow
 from .qcc import QccCode
-from .qviterbi import DEFAULT_STATE_CAP, batch_decode, build_error_trellis
+from .qviterbi import DEFAULT_STATE_CAP, ErrorTrellis, batch_decode, build_error_trellis
 
 
 class ChannelModel(Enum):
@@ -195,17 +195,25 @@ def run_trials(
     payload: tuple[int, ...] | None = None,
     chunk: int = 2048,
     trial_offset: int = 0,
+    trellis: ErrorTrellis | None = None,
 ) -> TrialReport:
     """Sample, measure, decode, classify; exactly reproducible from seed.
 
     trial_offset shifts the RNG stream indices so disjoint ranges can run
-    in separate processes and still sum to the single-process result."""
+    in separate processes and still sum to the single-process result.
+    `trellis` is the code's error trellis, built here when not given, so
+    that runs of one code at several error rates can share it; a trellis
+    of another code raises ValueError."""
     if spec.N != code.N:
         raise ValueError("channel and code register dimensions differ")
     if window is not None and window != code.window_blocks:
         code = QccCode(code.parent, window)
     stab = code.stabilizer
-    trellis = build_error_trellis(code)
+    if trellis is None:
+        trellis = build_error_trellis(code)
+    elif ((trellis.p, trellis.block_regs) != (code.N, code.regs_per_block)
+          or not np.array_equal(trellis.stab._gen_matrix, stab._gen_matrix)):
+        raise ValueError("the error trellis was built for a different code")
     if payload is None:
         payload = payload_indices(code)
     L, p = code.L, code.N

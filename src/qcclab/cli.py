@@ -27,10 +27,11 @@ from .channel import (
     run_trials,
     union_bound,
 )
-from .convcode import ConvCode, build_trellis, viterbi_decode
+from .convcode import ConvCode, StateCapError, build_trellis, viterbi_decode
 from .gfpoly import RankDeficientError, catastrophic_check
 from .pauli import PauliWindow
 from .qcc import CatastrophicParentError, QccCode, op_to_text
+from .qviterbi import build_error_trellis
 from .statevec import StateVector, decode_step_eq1, encode_eq1, fidelity, verify_logical
 
 EXIT_OK = 0
@@ -126,6 +127,14 @@ def cmd_simulate(args) -> int:
         require_payload(qcc)
     except EmptyPayloadError as exc:
         raise InputError(str(exc)) from exc
+    # the serial runs share one error trellis across the --p values; it is
+    # built under --jobs too, so that a trellis over the state cap is
+    # reported before any worker starts
+    try:
+        trellis = build_error_trellis(qcc)
+    except StateCapError as exc:
+        raise InputError(str(exc)) from exc
+
     try:
         dist = measure_distance(qcc)
         d = dist.d
@@ -148,7 +157,7 @@ def cmd_simulate(args) -> int:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 rep = functools.reduce(TrialReport.merge, pool.map(_simulate_range, ranges))
         else:
-            rep = run_trials(qcc, spec, args.trials, args.seed)
+            rep = run_trials(qcc, spec, args.trials, args.seed, trellis=trellis)
         pe_lo, pe_hi = rep.p_e_interval
         pb_lo, pb_hi = rep.p_b_interval
         if d is not None:

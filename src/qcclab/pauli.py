@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,18 +136,6 @@ class PauliWindow:
         return f"PauliWindow(x={self.x.tolist()}, z={self.z.tolist()}, p={self.p})"
 
 
-def compose(a: PauliWindow, b: PauliWindow) -> PauliWindow:
-    return a.compose(b)
-
-
-def commutes(a: PauliWindow, b: PauliWindow) -> bool:
-    return a.commutes(b)
-
-
-def weight(a: PauliWindow) -> int:
-    return a.weight()
-
-
 class ResidualKind(Enum):
     IDENTITY = "identity"
     STABILIZER = "stabilizer"
@@ -197,28 +185,33 @@ class StabilizerWindow:
         )
 
     def _validate(self) -> None:
-        for i, a in enumerate(self.generators):
-            for b in self.generators[i + 1 :]:
-                if not a.commutes(b):
-                    raise ValueError("stabilizer generators must mutually commute")
-            for lop in self.logical_x + self.logical_z:
-                if not a.commutes(lop):
-                    raise ValueError("logicals must commute with the stabilizer")
-        for i, lx in enumerate(self.logical_x):
-            for j, lz in enumerate(self.logical_z):
-                s = lx.sym_product(lz)
-                if (i == j) == (s == 0):
-                    raise ValueError(
-                        "logical pairs must anticommute exactly on matching indices"
-                    )
-        for i, a in enumerate(self.logical_x):
-            for b in self.logical_x[i + 1 :]:
-                if not a.commutes(b):
-                    raise ValueError("logical_x operators must mutually commute")
-        for i, a in enumerate(self.logical_z):
-            for b in self.logical_z[i + 1 :]:
-                if not a.commutes(b):
-                    raise ValueError("logical_z operators must mutually commute")
+        """Check every symplectic product at once, from the Gram matrix
+        S[a, b] = <x_a, z_b> - <z_a, x_b> mod p of the generators, then
+        logical_x, then logical_z. A failure raises the message that
+        checking the pairs one at a time would raise first: each generator
+        against the later generators and then the logicals, then the
+        logical pairing, then logical_x, then logical_z."""
+        n_gen, n_log = len(self.generators), len(self.logical_x)
+        ops = self.generators + self.logical_x + self.logical_z
+        X = np.array([op.x for op in ops], dtype=np.int64).reshape(len(ops), self.L)
+        Z = np.array([op.z for op in ops], dtype=np.int64).reshape(len(ops), self.L)
+        S = (X @ Z.T - Z @ X.T) % self.p
+        gen_rows = S[:n_gen] != 0
+        # each generator against the later generators, then all logicals
+        bad_gen = np.triu(gen_rows[:, :n_gen], 1).any(axis=1)
+        bad_log = gen_rows[:, n_gen:].any(axis=1)
+        for bad_g, bad_l in zip(bad_gen, bad_log):
+            if bad_g:
+                raise ValueError("stabilizer generators must mutually commute")
+            if bad_l:
+                raise ValueError("logicals must commute with the stabilizer")
+        xs, zs = slice(n_gen, n_gen + n_log), slice(n_gen + n_log, len(ops))
+        if ((S[xs, zs] == 0) == np.eye(n_log, dtype=bool)).any():
+            raise ValueError("logical pairs must anticommute exactly on matching indices")
+        if S[xs, xs].any():
+            raise ValueError("logical_x operators must mutually commute")
+        if S[zs, zs].any():
+            raise ValueError("logical_z operators must mutually commute")
 
     @property
     def n_logical(self) -> int:
@@ -256,11 +249,3 @@ class StabilizerWindow:
         # commutes with generators and logicals but outside the group: only
         # possible if the listed logicals do not span the full logical algebra
         return ResidualReport(ResidualKind.LOGICAL_ERROR, ())
-
-
-def syndrome(error: PauliWindow, stab: StabilizerWindow) -> np.ndarray:
-    return stab.syndrome(error)
-
-
-def classify_residual(residual: PauliWindow, stab: StabilizerWindow) -> ResidualReport:
-    return stab.classify_residual(residual)

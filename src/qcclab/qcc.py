@@ -11,7 +11,12 @@ second, codewords are sums over dummy vectors P of w^((Ax).P) |B P>, so
   * the spin flip on qubit i is Z^u with B^T u = A e_i,
   * the phase shift on qubit i is X^(B mu) with A^T mu = -e_i.
 
-All solves are exact GF(p) linear algebra on the window.
+All solves are exact GF(p) linear algebra on the window. Each logical is
+solved on a narrow column window around its block (`_solve_localized`):
+the window widens until the system is consistent, and one elimination over
+its columns in reverse order gives the left edge; the reduced-form solution
+there vanishes past the last column it needs. Both encoding matrices are
+block Toeplitz in the parent's taps (`encoding_matrix`).
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .convcode import ConvCode, encode_stream
-from .gfpoly import catastrophic_check
+from .convcode import ConvCode
+from .gfpoly import CatastrophicityVerdict, catastrophic_check
 from .pauli import PauliWindow, StabilizerWindow
 
 
@@ -32,25 +37,29 @@ class CatastrophicParentError(ValueError):
     """The parent classical code fails the Massey-Sain criterion."""
 
 
-def _require_non_catastrophic(parent: ConvCode) -> None:
-    if catastrophic_check(parent.G).is_catastrophic:
+def _require_non_catastrophic(parent: ConvCode) -> CatastrophicityVerdict:
+    verdict = catastrophic_check(parent.G)
+    if verdict.is_catastrophic:
         raise CatastrophicParentError(
             "parent encoder is catastrophic; stabilizer supports would be unbounded"
         )
+    return verdict
 
 
 def encoding_matrix(code: ConvCode, n_blocks: int) -> np.ndarray:
     """Windowed encoding matrix: column j is the truncated codeword of the
-    j-th unit info symbol, zero history before block 1."""
+    j-th unit info symbol, zero history before block 1.
+
+    The matrix is block Toeplitz: the (n x k) block in block row b and
+    block column c is the transposed tap matrix of delay b - c, zero
+    outside 0 <= b - c <= m."""
     k, n, p = code.k, code.n, code.p
-    K = k * n_blocks
-    L = n * n_blocks
-    M = np.zeros((L, K), dtype=np.int64)
-    for j in range(K):
-        info = [0] * K
-        info[j] = 1
-        M[:, j] = encode_stream(code, info, terminate=False)
-    return M % p
+    t = code.taps() % p
+    M = np.zeros((n_blocks, n, n_blocks, k), dtype=np.int64)
+    for d in range(min(code.m, n_blocks - 1) + 1):
+        c = np.arange(n_blocks - d)
+        M[c + d, :, c, :] = t[d].T
+    return M.reshape(n * n_blocks, k * n_blocks)
 
 
 def _unit(n: int, i: int) -> np.ndarray:
@@ -59,30 +68,45 @@ def _unit(n: int, i: int) -> np.ndarray:
     return e
 
 
+def _last_needed(C: np.ndarray, b: np.ndarray, p: int) -> int | None:
+    """The least j such that b lies in the span of columns 0..j of C; -1
+    when b is 0, and None when b is not in the span of C.
+
+    In the reduced form of [C | b], b is the combination of the pivot
+    columns that its entries select, so it needs exactly the columns up to
+    the last pivot with a nonzero entry in b's column."""
+    R, pivots = linalg.rref(np.column_stack([C, b]), p)
+    if pivots and pivots[-1] == C.shape[1]:
+        return None
+    return max((c for c, coeff in zip(pivots, R[:, -1]) if coeff), default=-1)
+
+
 def _solve_localized(M, b, p: int, center: int, halfwidth: int) -> np.ndarray:
     """Solution of M v = b supported on a narrow contiguous column window.
 
     Widens a window around `center` until the restricted system becomes
-    consistent, then greedily trims both edges; the result is a compact,
+    consistent, then moves its left edge right as far as b stays in the
+    span of the window's columns, never below one column, and solves on
+    what is left. Spans of nested windows are nested, so one elimination
+    over the window's columns in reverse order both tests consistency and
+    places the left edge (`_last_needed`). The right edge needs no trim:
+    the reduced-form solution already vanishes past the last column that b
+    needs, so trimming there would not change it. The result is a compact,
     deterministic representative of the solution coset."""
     M = np.asarray(M, dtype=np.int64)
     cols = M.shape[1]
     hw = halfwidth
-    lo = hi = None
     while True:
         lo, hi = max(0, center - hw), min(cols, center + hw)
-        if linalg.solve(M[:, lo:hi], b, p) is not None:
+        last = _last_needed(M[:, lo:hi][:, ::-1], b, p)
+        if last is not None:
             break
         if lo == 0 and hi == cols:
             raise AssertionError("linear system unexpectedly inconsistent")
         hw *= 2
-    while hi - lo > 1 and linalg.solve(M[:, lo + 1 : hi], b, p) is not None:
-        lo += 1
-    while hi - lo > 1 and linalg.solve(M[:, lo : hi - 1], b, p) is not None:
-        hi -= 1
-    v = linalg.solve(M[:, lo:hi], b, p)
+    lo = hi - 1 - max(last, 0)
     out = np.zeros(cols, dtype=np.int64)
-    out[lo:hi] = v
+    out[lo:hi] = linalg.solve(M[:, lo:hi], b, p)
     return out
 
 
@@ -99,7 +123,14 @@ class QccCode:
     window_blocks: int
 
     def __post_init__(self) -> None:
-        _require_non_catastrophic(self.parent)
+        delay = _require_non_catastrophic(self.parent).delay
+        if delay:
+            # the windowed encoding matrices lack full column rank, so some
+            # info symbols have no logical operators on the window
+            raise ValueError(
+                f"parent encoder has delay D^{delay}: its delay-0 taps are not of "
+                f"full rank, so the window cannot carry all of its info symbols"
+            )
         k, n = self.parent.k, self.parent.n
         if (n * n) % k:
             raise ValueError(
@@ -153,21 +184,20 @@ class QccCode:
         z_gens = linalg.rref(linalg.kernel(B.T, p), p)[0]
         gens = [PauliWindow(v, np.zeros(L), p) for v in x_gens]
         gens += [PauliWindow(np.zeros(L), v, p) for v in z_gens]
-        log_x, log_z = [], []
-        n, k = self.parent.n, self.parent.k
-        for i in range(K):
-            blk = i // k
-            u = _solve_localized(
-                B.T, A[:, i], p,
-                center=blk * self.regs_per_block, halfwidth=self.regs_per_block,
-            )
-            mu = _solve_localized(
-                A.T, (-_unit(K, i)) % p, p,
-                center=blk * n, halfwidth=n,
-            )
-            log_x.append(PauliWindow(np.zeros(L), u, p))
-            log_z.append(PauliWindow((B @ mu) % p, np.zeros(L), p))
+        log_x, log_z = zip(*(self._logical_pair(i) for i in range(K)))
         return StabilizerWindow(gens, log_x, log_z, L=L, p=p)
+
+    def _logical_pair(self, i: int) -> tuple[PauliWindow, PauliWindow]:
+        """The spin flip and the phase shift on logical qudit i, each
+        solved on a narrow window around the qudit's block."""
+        p = self.N
+        A, B = self.first_matrix, self.second_matrix
+        L, K = self.L, self.k_info
+        blk = i // self.parent.k
+        step, n = self.regs_per_block, self.parent.n
+        u = _solve_localized(B.T, A[:, i], p, center=blk * step, halfwidth=step)
+        mu = _solve_localized(A.T, (-_unit(K, i)) % p, p, center=blk * n, halfwidth=n)
+        return PauliWindow(np.zeros(L), u, p), PauliWindow((B @ mu) % p, np.zeros(L), p)
 
     @cached_property
     def support_bound(self) -> int:
@@ -253,12 +283,7 @@ def _extract_templates(code: QccCode) -> tuple[Template, ...]:
         _periodic_patterns("stabilizer-z", [PauliWindow(zeros, v, p) for v in z_rows], step, L)
     )
     # logical templates from a safely interior qubit
-    stab = ref.stabilizer
-    mid = ref.k_info // 2
-    for kind, op in (
-        ("logical-x", stab.logical_x[mid]),
-        ("logical-z", stab.logical_z[mid]),
-    ):
+    for kind, op in zip(("logical-x", "logical-z"), ref._logical_pair(ref.k_info // 2)):
         pat, off = _normalize(op)
         out.append(Template(kind, pat, off % step, step))
     return tuple(out)

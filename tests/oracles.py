@@ -171,3 +171,55 @@ def acting_weights_up_to(code, max_weight, interior=None, batch=32):
             hit = ~total[..., :n_syn].any(axis=-1) & total[..., n_syn:].any(axis=-1)
             found[weight] = found.get(weight, 0) + int(hit.sum())
     return {wt: n for wt, n in found.items() if n}
+
+
+def solve_localized_by_trimming(M, b, p, center, halfwidth):
+    """The reference for `qcc._solve_localized`: widen a column window
+    around `center` until M v = b is consistent on it, then trim the left
+    and then the right edge one column at a time while it stays consistent,
+    never below one column, with a fresh solve per step."""
+    from qcclab import linalg
+
+    M = np.asarray(M, dtype=np.int64)
+    cols = M.shape[1]
+    hw = halfwidth
+    while True:
+        lo, hi = max(0, center - hw), min(cols, center + hw)
+        if linalg.solve(M[:, lo:hi], b, p) is not None:
+            break
+        if lo == 0 and hi == cols:
+            raise AssertionError("linear system unexpectedly inconsistent")
+        hw *= 2
+    while hi - lo > 1 and linalg.solve(M[:, lo + 1 : hi], b, p) is not None:
+        lo += 1
+    while hi - lo > 1 and linalg.solve(M[:, lo : hi - 1], b, p) is not None:
+        hi -= 1
+    out = np.zeros(cols, dtype=np.int64)
+    out[lo:hi] = linalg.solve(M[:, lo:hi], b, p)
+    return out
+
+
+def first_stabilizer_violation(generators, logical_x, logical_z):
+    """The message `StabilizerWindow` raises for these operators, or None,
+    by checking every pair with `sym_product` in the order: each generator
+    against the later generators and then every logical, the logical
+    pairing, logical_x among themselves, logical_z among themselves."""
+    logicals = list(logical_x) + list(logical_z)
+    for i, a in enumerate(generators):
+        for b in generators[i + 1 :]:
+            if a.sym_product(b):
+                return "stabilizer generators must mutually commute"
+        for b in logicals:
+            if a.sym_product(b):
+                return "logicals must commute with the stabilizer"
+    for i, lx in enumerate(logical_x):
+        for j, lz in enumerate(logical_z):
+            if (i == j) == (lx.sym_product(lz) == 0):
+                return "logical pairs must anticommute exactly on matching indices"
+    for ops, message in ((logical_x, "logical_x operators must mutually commute"),
+                         (logical_z, "logical_z operators must mutually commute")):
+        for i, a in enumerate(ops):
+            for b in ops[i + 1 :]:
+                if a.sym_product(b):
+                    return message
+    return None

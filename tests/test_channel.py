@@ -6,6 +6,7 @@ from qcclab import ConvCode, PolyMatrix, QccCode
 from qcclab import channel
 from qcclab.channel import measure_distance
 from qcclab.convcode import StateCapError
+from qcclab.qviterbi import build_error_trellis
 
 from oracles import acting_weights_up_to, distance_by_enumeration
 
@@ -77,3 +78,29 @@ def test_state_cap_raises(monkeypatch):
     monkeypatch.setenv("QCC_STATE_CAP", "8")
     with pytest.raises(StateCapError):
         measure_distance(code_of(FLAGSHIP, 2, 8))
+
+
+def test_run_trials_with_a_built_trellis_gives_the_same_report():
+    code = code_of(FLAGSHIP, 2, 8)
+    trellis = build_error_trellis(code)
+    for p_err in (0.03, 0.1):
+        spec = channel.ChannelSpec(p_err, N=2)
+        assert (channel.run_trials(code, spec, 200, seed=3, trellis=trellis)
+                == channel.run_trials(code, spec, 200, seed=3))
+
+
+@pytest.mark.parametrize("other", [(FLAGSHIP, 2, 10), (FLAGSHIP, 3, 8), (ONE_PLUS_D, 2, 8)],
+                         ids=["other-window", "other-field", "other-parent"])
+def test_run_trials_rejects_a_trellis_of_another_code(other):
+    code = code_of(FLAGSHIP, 2, 8)
+    spec = channel.ChannelSpec(0.03, N=2)
+    with pytest.raises(ValueError, match="built for a different code"):
+        channel.run_trials(code, spec, 10, seed=0, trellis=build_error_trellis(code_of(*other)))
+
+
+def test_run_trials_rejects_the_trellis_of_an_overridden_window():
+    code = code_of(FLAGSHIP, 2, 8)
+    spec = channel.ChannelSpec(0.03, N=2)
+    with pytest.raises(ValueError, match="built for a different code"):
+        channel.run_trials(code, spec, 10, seed=0, window=10,
+                           trellis=build_error_trellis(code))

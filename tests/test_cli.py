@@ -12,6 +12,8 @@ CATASTROPHIC = {"p": 2, "k": 1, "n": 2, "G": [[[1, 1], [1, 0, 1]]]}
 RANK_DEFICIENT = {"p": 2, "k": 2, "n": 2, "G": [[[1], [1]], [[1], [1]]]}
 # a non-catastrophic rate-2/3 parent: k=2 does not divide n^2=9
 RATE_TWO_THIRDS = {"p": 2, "k": 2, "n": 3, "G": [[[1, 1], [1, 0], [1, 0]], [[1], [0, 1], [1, 0]]]}
+# (D, D + D^2) over GF(2): non-catastrophic, but with delay D
+DELAYED = {"p": 2, "k": 1, "n": 2, "G": [[[0, 1], [0, 1, 1]]]}
 
 
 @pytest.fixture
@@ -89,11 +91,13 @@ def test_simulate_reports_bounds_where_kernel_search_gave_up(flagship_file, caps
     (["check-catastrophic"], RATE_TWO_THIRDS, EXIT_OK),
     (["build-qcc", "--window", "4"], RATE_TWO_THIRDS, EXIT_INPUT),
     (["print-stabilizers", "--window", "4"], RATE_TWO_THIRDS, EXIT_INPUT),
+    (["build-qcc"], DELAYED, EXIT_INPUT),
+    (["print-stabilizers"], DELAYED, EXIT_INPUT),
 ], ids=["check-flagship", "check-catastrophic", "check-rank-deficient",
         "build-flagship", "build-catastrophic", "build-missing-file", "build-window-2",
         "print-flagship", "print-catastrophic", "print-missing-file", "print-window-2",
         "build-rank-deficient", "print-rank-deficient", "check-rate-2/3",
-        "build-rate-2/3", "print-rate-2/3"])
+        "build-rate-2/3", "print-rate-2/3", "build-delayed", "print-delayed"])
 def test_exit_codes(tmp_path, capsys, argv, descriptor, code):
     path = tmp_path / "code.json"
     if descriptor is not None:
@@ -109,6 +113,8 @@ def test_exit_codes(tmp_path, capsys, argv, descriptor, code):
         assert captured.err.count("\n") == 1
         if descriptor is RATE_TWO_THIRDS:
             assert "does not divide" in captured.err
+        if descriptor is DELAYED:
+            assert "delay D^1" in captured.err
 
 
 def test_check_catastrophic_verdicts(tmp_path, capsys):
@@ -129,6 +135,49 @@ def test_simulate_output_independent_of_jobs(flagship_file, capsys):
         assert main([*argv, "--jobs", jobs]) == EXIT_OK
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+# `simulate --window 10 --trials 400 --seed 7 --p 0.01 0.03` on the flagship
+# parent, as printed before the serial runs shared one error trellis
+SIMULATE_TWO_RATES = """\
+# qcclab 0.1.0
+p,trials,Pe_hat,Pe_lo,Pe_hi,Pb_hat,Pb_lo,Pb_hi,Pe_bound,Pb_bound
+0.01,400,0,5.42101e-20,0.000959443,0,2.1684e-19,0.003191,0.088,0.088
+0.03,400,0.00225,0.0011842,0.00427092,0.01,0.00572958,0.0173976,0.457261,0.457261
+"""
+
+
+def test_simulate_builds_one_trellis_for_all_rates(flagship_file, capsys, monkeypatch):
+    import qcclab.channel
+    import qcclab.cli
+
+    builds = []
+
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+        return wrapper
+
+    for module in (qcclab.cli, qcclab.channel):
+        monkeypatch.setattr(module, "build_error_trellis", counting(module.build_error_trellis))
+    argv = ["simulate", "--code", flagship_file, "--p", "0.01", "0.03", "--window", "10",
+            "--trials", "400", "--seed", "7"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == SIMULATE_TWO_RATES
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_trellis_over_the_state_cap_exits_2(flagship_file, capsys, monkeypatch, jobs):
+    monkeypatch.setenv("QCC_STATE_CAP", "16")
+    argv = ["simulate", "--code", flagship_file, "--p", "0.03", "--window", "8",
+            "--trials", "20", "--jobs", jobs]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "exceed cap 16" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_merged_reports_add_counts():

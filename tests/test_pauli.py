@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcclab.pauli import (
-    PauliWindow,
-    ResidualKind,
-    StabilizerWindow,
-    classify_residual,
-    commutes,
-    compose,
-    syndrome,
-    weight,
-)
+from qcclab.pauli import PauliWindow, ResidualKind, StabilizerWindow
+
+from oracles import first_stabilizer_violation
 
 
 def pw(s):
@@ -28,11 +21,11 @@ def repetition_stab():
 class TestAlgebra:
     def test_involution(self):
         x1 = pw("XII")
-        assert compose(x1, x1).is_identity()
+        assert x1.compose(x1).is_identity()
 
     def test_xz_gives_y_with_tracked_order_phase(self):
-        xz = compose(pw("XII"), pw("ZII"))
-        zx = compose(pw("ZII"), pw("XII"))
+        xz = pw("XII").compose(pw("ZII"))
+        zx = pw("ZII").compose(pw("XII"))
         assert xz.to_string() == zx.to_string() == "YII"
         # reordering Z past X costs omega = tau^2; the canonical X-then-Z
         # product needs no correction
@@ -44,7 +37,7 @@ class TestAlgebra:
         for _ in range(30):
             a = PauliWindow(rng.integers(0, 3, 5), rng.integers(0, 3, 5), 3)
             b = PauliWindow(rng.integers(0, 3, 5), rng.integers(0, 3, 5), 3)
-            c = compose(a, b)
+            c = a.compose(b)
             assert np.array_equal(c.x, (a.x + b.x) % 3)
             assert np.array_equal(c.z, (a.z + b.z) % 3)
 
@@ -52,7 +45,7 @@ class TestAlgebra:
         rng = np.random.default_rng(1)
         for p in (2, 3):
             a = PauliWindow(rng.integers(0, p, 4), rng.integers(0, p, 4), p, phase_exp=3)
-            prod = compose(a, a.inverse())
+            prod = a.compose(a.inverse())
             assert prod.is_identity() and prod.phase_exp == 0
 
     @given(st.integers(0, 3**8 - 1), st.integers(0, 3**8 - 1), st.integers(0, 3**8 - 1))
@@ -66,32 +59,32 @@ class TestAlgebra:
             return PauliWindow(digs[:4], digs[4:], 3)
 
         a, b, c = unpack(ai), unpack(bi), unpack(ci)
-        left = compose(compose(a, b), c)
-        right = compose(a, compose(b, c))
+        left = a.compose(b).compose(c)
+        right = a.compose(b.compose(c))
         assert left == right
         e = PauliWindow.identity(4, 3)
-        assert compose(a, e) == a and compose(e, a) == a
+        assert a.compose(e) == a and e.compose(a) == a
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compose(pw("XI"), pw("XII"))
+            pw("XI").compose(pw("XII"))
 
 
 class TestCommutation:
     def test_disjoint_support(self):
-        assert commutes(pw("XI"), pw("IZ"))
+        assert pw("XI").commutes(pw("IZ"))
 
     def test_canonical_pair(self):
-        assert not commutes(pw("X"), pw("Z"))
+        assert not pw("X").commutes(pw("Z"))
 
     def test_even_overlap(self):
-        assert commutes(pw("ZZI"), pw("XXX"))
+        assert pw("ZZI").commutes(pw("XXX"))
 
     def test_qutrit_symplectic(self):
         a = PauliWindow([1, 0], [0, 0], 3)
         b = PauliWindow([0, 0], [2, 0], 3)
         assert a.sym_product(b) == 2
-        assert not commutes(a, b)
+        assert not a.commutes(b)
 
 
 class TestWeight:
@@ -99,7 +92,7 @@ class TestWeight:
         "s,w", [("III", 0), ("YII", 1), ("XIZ", 2), ("XYZ", 3)]
     )
     def test_counts_busy_registers(self, s, w):
-        assert weight(pw(s)) == w
+        assert pw(s).weight() == w
 
 
 class TestStabilizerWindow:
@@ -117,31 +110,80 @@ class TestStabilizerWindow:
                 [], [pw("XI"), pw("IX")], [pw("ZI"), pw("ZZ")], L=2, p=2
             )
 
+    @pytest.mark.parametrize("gens, lx, lz, message", [
+        (["XI", "ZI"], [], [], "generators must mutually commute"),
+        (["ZZ"], ["XI"], ["ZI"], "logicals must commute with the stabilizer"),
+        ([], ["XX"], ["ZZ"], "anticommute exactly on matching indices"),
+        ([], ["XI", "IX"], ["ZI", "ZZ"], "anticommute exactly on matching indices"),
+        ([], ["XI", "ZX"], ["ZI", "IZ"], "logical_x operators must mutually commute"),
+        ([], ["XI", "IX"], ["ZI", "XZ"], "logical_z operators must mutually commute"),
+        # two conditions fail: the first in generator-by-generator order wins
+        (["ZI", "XI", "ZZ"], ["XX"], ["ZZ"], "generators must mutually commute"),
+        (["IIZ", "XII", "ZII"], ["IIX"], ["IIZ"], "logicals must commute with the stabilizer"),
+        (["XII", "ZII"], ["XIX"], ["IIZ"], "generators must mutually commute"),
+        ([], ["XI", "ZI"], ["XI", "IZ"], "anticommute exactly on matching indices"),
+        ([], ["XI", "ZI"], ["ZI", "XI"], "logical_x operators must mutually commute"),
+    ], ids=["generators", "stabilizer", "pair-commutes", "cross-pair",
+            "logical-x", "logical-z", "generators-before-pairing",
+            "first-generator-hits-logical", "first-generator-hits-generator",
+            "pairing-before-logical-x", "logical-x-before-logical-z"])
+    def test_validation_messages_in_loop_order(self, gens, lx, lz, message):
+        ops = [[pw(o) for o in group] for group in (gens, lx, lz)]
+        assert message in first_stabilizer_violation(*ops)
+        with pytest.raises(ValueError, match=message):
+            StabilizerWindow(*ops, L=len((gens + lx)[0]), p=2)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_validation_agrees_with_pairwise_products(self, p):
+        rng = np.random.default_rng(p)
+        outcomes = set()
+        for _ in range(300):
+            # a valid window, X and Z on registers 0 and 1 as the logical
+            # pairs and Z on 2 and X on 3 as generators, with one or two
+            # register values of its operators overwritten at random
+            x = np.zeros((6, 4), dtype=np.int64)
+            z = np.zeros((6, 4), dtype=np.int64)
+            z[0, 2] = x[1, 3] = x[2, 0] = x[3, 1] = z[4, 0] = z[5, 1] = 1
+            for _ in range(int(rng.integers(1, 3))):
+                op, reg = rng.integers(0, 6), rng.integers(0, 4)
+                x[op, reg], z[op, reg] = rng.integers(0, p, 2)
+            ops = [PauliWindow(a, b, p) for a, b in zip(x, z)]
+            gens, lx, lz = ops[:2], ops[2:4], ops[4:]
+            expected = first_stabilizer_violation(gens, lx, lz)
+            outcomes.add(expected)
+            if expected is None:
+                StabilizerWindow(gens, lx, lz)
+            else:
+                with pytest.raises(ValueError) as err:
+                    StabilizerWindow(gens, lx, lz)
+                assert str(err.value) == expected
+        assert len(outcomes) == 6  # each of the five messages, and success
+
     def test_syndrome_examples(self, repetition_stab):
-        assert np.array_equal(syndrome(pw("III"), repetition_stab), [0, 0])
-        assert np.array_equal(syndrome(pw("XII"), repetition_stab), [1, 1])
-        assert np.array_equal(syndrome(pw("IXI"), repetition_stab), [1, 0])
+        assert np.array_equal(repetition_stab.syndrome(pw("III")), [0, 0])
+        assert np.array_equal(repetition_stab.syndrome(pw("XII")), [1, 1])
+        assert np.array_equal(repetition_stab.syndrome(pw("IXI")), [1, 0])
         # stabilizer elements have zero syndrome
-        assert np.array_equal(syndrome(pw("IZZ"), repetition_stab), [0, 0])
+        assert np.array_equal(repetition_stab.syndrome(pw("IZZ")), [0, 0])
 
     def test_syndrome_linearity(self, repetition_stab):
         rng = np.random.default_rng(2)
         for _ in range(40):
             a = PauliWindow(rng.integers(0, 2, 3), rng.integers(0, 2, 3), 2)
             b = PauliWindow(rng.integers(0, 2, 3), rng.integers(0, 2, 3), 2)
-            sa = syndrome(a, repetition_stab)
-            sb = syndrome(b, repetition_stab)
-            sab = syndrome(compose(a, b), repetition_stab)
+            sa = repetition_stab.syndrome(a)
+            sb = repetition_stab.syndrome(b)
+            sab = repetition_stab.syndrome(a.compose(b))
             assert np.array_equal(sab, (sa + sb) % 2)
 
 
 class TestClassify:
     def test_identity(self, repetition_stab):
-        rep = classify_residual(pw("III"), repetition_stab)
+        rep = repetition_stab.classify_residual(pw("III"))
         assert rep.kind is ResidualKind.IDENTITY
 
     def test_generator_is_stabilizer(self, repetition_stab):
-        rep = classify_residual(pw("ZZI"), repetition_stab)
+        rep = repetition_stab.classify_residual(pw("ZZI"))
         assert rep.kind is ResidualKind.STABILIZER
 
     def test_generator_products(self, repetition_stab):
@@ -150,18 +192,18 @@ class TestClassify:
         for _ in range(20):
             acc = PauliWindow.identity(3, 2)
             for _ in range(int(rng.integers(1, 4))):
-                acc = compose(acc, gens[int(rng.integers(0, len(gens)))])
-            kind = classify_residual(acc, repetition_stab).kind
+                acc = acc.compose(gens[int(rng.integers(0, len(gens)))])
+            kind = repetition_stab.classify_residual(acc).kind
             assert kind in (ResidualKind.STABILIZER, ResidualKind.IDENTITY)
 
     def test_logical_flagged_with_index(self, repetition_stab):
-        rep = classify_residual(pw("XXX"), repetition_stab)
+        rep = repetition_stab.classify_residual(pw("XXX"))
         assert rep.kind is ResidualKind.LOGICAL_ERROR
         assert rep.affected == (0,)
 
     def test_nonzero_syndrome_rejected(self, repetition_stab):
         with pytest.raises(ValueError):
-            classify_residual(pw("XII"), repetition_stab)
+            repetition_stab.classify_residual(pw("XII"))
 
 
 class TestSerialization:

@@ -1,12 +1,40 @@
-"""Windowed code construction: parent checks and interior templates."""
+"""Windowed code construction: parent checks, encoding matrices, the
+localized solves behind the logicals, stabilizer invariants and interior
+templates."""
 
 import numpy as np
 import pytest
 
-from qcclab import ConvCode, PolyMatrix, QccCode
+from qcclab import ConvCode, PolyMatrix, QccCode, encode_stream, linalg
+from qcclab.gfpoly import RankDeficientError, catastrophic_check
 from qcclab.pauli import PauliWindow
+from qcclab.qcc import _normalize, _solve_localized, _unit, encoding_matrix
+
+from oracles import solve_localized_by_trimming
 
 FLAGSHIP_TAPS = [[[1, 0, 1], [1, 1, 1]]]
+# a non-catastrophic rate-2/4 parent with 8 registers per block
+WIDE = {"p": 2, "k": 2, "n": 4, "G": [[[1, 1], [1], [0, 1], [1, 1]],
+                                      [[0, 1], [1, 1], [1], [1]]]}
+
+
+def flagship(p):
+    return ConvCode(PolyMatrix.from_coeffs(FLAGSHIP_TAPS, p))
+
+
+def random_parent(p, k, n, m, seed):
+    """A random parent with memory m that `QccCode` accepts: full rank,
+    non-catastrophic and without delay."""
+    rng = np.random.default_rng([p, k, n, m, seed])
+    while True:
+        taps = [[rng.integers(0, p, m + 1).tolist() for _ in range(n)] for _ in range(k)]
+        G = PolyMatrix.from_coeffs(taps, p)
+        try:
+            verdict = catastrophic_check(G)
+        except RankDeficientError:
+            continue
+        if G.max_degree() == m and not verdict.is_catastrophic and verdict.delay == 0:
+            return ConvCode(G)
 
 
 def test_parent_whose_k_does_not_divide_n_squared_is_rejected():
@@ -40,3 +68,100 @@ def test_templates_are_normalised_and_listed_by_offset(p):
             x[start : start + t.pattern.L] = t.pattern.x
             z[start : start + t.pattern.L] = t.pattern.z
             assert not stab.syndrome(PauliWindow(x, z, p)).any()
+
+
+@pytest.mark.parametrize("parent, blocks", [
+    (flagship(3), 1), (flagship(3), 2), (flagship(3), 7),
+    (ConvCode.from_json(WIDE), 1), (ConvCode.from_json(WIDE), 6),
+], ids=["k1-1-block", "k1-2-blocks", "k1-7-blocks", "k2-1-block", "k2-6-blocks"])
+def test_encoding_matrix_is_the_encoded_unit_symbols(parent, blocks):
+    K = parent.k * blocks
+    M = encoding_matrix(parent, blocks)
+    assert M.shape == (parent.n * blocks, K)
+    for j in range(K):
+        assert M[:, j].tolist() == encode_stream(parent, _unit(K, j).tolist(), terminate=False)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_localized_matches_trimming_on_random_systems(p):
+    rng = np.random.default_rng(p)
+    for _ in range(60):
+        rows, cols = (int(v) for v in rng.integers(3, 12, 2))
+        M = rng.integers(0, p, (rows, cols))
+        # a few nonzero columns of M mixed, so the solution set is a coset
+        v = np.zeros(cols, dtype=np.int64)
+        start = int(rng.integers(0, cols))
+        stop = min(cols, start + int(rng.integers(1, 4)))
+        v[start:stop] = rng.integers(0, p, stop - start)
+        b = M @ v % p
+        center, hw = int(rng.integers(0, cols)), int(rng.integers(1, 4))
+        got = _solve_localized(M, b, p, center, hw)
+        assert np.array_equal(got, solve_localized_by_trimming(M, b, p, center, hw))
+        assert np.array_equal(M @ got % p, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_localized_matches_trimming_on_encoding_matrices(p):
+    for parent, blocks in ((flagship(p), 8), (random_parent(p, 2, 4, 1, 0), 4)):
+        A = encoding_matrix(parent, blocks)
+        B = encoding_matrix(parent, parent.n * blocks // parent.k)
+        K, n, step = A.shape[1], parent.n, parent.n**2 // parent.k
+        for i in range(K):
+            blk = i // parent.k
+            for M, b, center, hw in ((B.T, A[:, i], blk * step, step),
+                                     (A.T, -_unit(K, i) % p, blk * n, n)):
+                assert np.array_equal(_solve_localized(M, b, p, center, hw),
+                                      solve_localized_by_trimming(M, b, p, center, hw))
+
+
+def test_solve_localized_of_zero_and_of_an_inconsistent_system():
+    M = encoding_matrix(flagship(3), 6).T
+    b = np.zeros(M.shape[0], dtype=np.int64)
+    for center in (0, 5, M.shape[1] - 1):
+        got = _solve_localized(M, b, 3, center, 2)
+        assert not got.any()
+        assert np.array_equal(got, solve_localized_by_trimming(M, b, 3, center, 2))
+    M = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    for solve in (_solve_localized, solve_localized_by_trimming):
+        with pytest.raises(AssertionError, match="unexpectedly inconsistent"):
+            solve(M, [0, 0, 1], 3, 1, 1)
+
+
+def test_parent_with_delay_is_rejected():
+    parent = ConvCode(PolyMatrix.from_coeffs([[[0, 1], [0, 1, 1]]], 2))
+    with pytest.raises(ValueError, match="delay D\\^1"):
+        QccCode(parent, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k, n, m", [(1, 2, 2), (1, 3, 1), (2, 4, 1)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stabilizer_invariants_of_random_parents(p, k, n, m, seed):
+    parent = random_parent(p, k, n, m, seed)
+    code = QccCode(parent, 6 if k == 1 else 4)
+    stab = code.stabilizer
+    gens, lx, lz = stab.generators, stab.logical_x, stab.logical_z
+    assert len(lx) == len(lz) == code.k_info
+    gen_matrix = np.array([g.symplectic() for g in gens])
+    assert linalg.rank(gen_matrix, p) == len(gens) == code.L - code.k_info
+    for i, a in enumerate(gens):
+        assert all(a.sym_product(b) == 0 for b in gens[i + 1 :])
+        assert all(a.sym_product(b) == 0 for b in lx + lz)
+    for i, a in enumerate(lx):
+        assert [bool(a.sym_product(b)) for b in lz] == [i == j for j in range(len(lz))]
+    for op in lx + lz:
+        sup = np.flatnonzero((op.x != 0) | (op.z != 0))
+        assert 0 < sup[-1] - sup[0] + 1 <= code.support_bound
+
+
+@pytest.mark.parametrize("parent", [flagship(2), flagship(3), ConvCode.from_json(WIDE)],
+                         ids=["flagship-p2", "flagship-p3", "wide"])
+def test_logical_templates_are_the_reference_window_logicals(parent):
+    code = QccCode(parent, 4)
+    ref = QccCode(parent, 4 * parent.m + 6)
+    stab, mid = ref.stabilizer, ref.k_info // 2
+    for kind, op in (("logical-x", stab.logical_x[mid]), ("logical-z", stab.logical_z[mid])):
+        pattern, start = _normalize(op)
+        (template,) = [t for t in code.templates if t.kind == kind]
+        assert template.pattern == pattern
+        assert template.offset == start % code.regs_per_block
