@@ -12,7 +12,6 @@ from .channel import ChannelModel, ChannelSpec, run_trials, sample_error, union_
 from .convcode import ConvCode, build_trellis, encode_stream, viterbi_decode
 from .gfpoly import (
     CatastrophicityVerdict,
-    FieldElement,
     Poly,
     PolyMatrix,
     catastrophic_check,
@@ -24,10 +23,9 @@ from .pauli import PauliWindow, ResidualKind, StabilizerWindow
 from .qcc import (
     CatastrophicParentError,
     QccCode,
-    build_qcc,
     codeword_form,
 )
-from .qviterbi import SyndromeSequence, build_error_trellis, qva_decode, streaming_decode
+from .qviterbi import build_error_trellis, qva_decode, streaming_decode
 from .statevec import StateVector, decode_step_eq1, encode_eq1, fidelity, verify_logical
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "ConvCode",
     "CatastrophicParentError",
     "CatastrophicityVerdict",
-    "FieldElement",
     "PauliWindow",
     "Poly",
     "PolyMatrix",
@@ -44,9 +41,7 @@ __all__ = [
     "ResidualKind",
     "StabilizerWindow",
     "StateVector",
-    "SyndromeSequence",
     "build_error_trellis",
-    "build_qcc",
     "build_trellis",
     "catastrophic_check",
     "codeword_form",

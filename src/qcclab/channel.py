@@ -3,9 +3,10 @@ channels, with union-bound comparison and window distance measurement.
 
 Trials draw i.i.d. register errors from counter-based RNG streams keyed by
 (seed, trial index), so results are bit-identical regardless of chunking
-or process fan-out. Logical errors are counted against payload qubits,
-the logical pairs whose operators sit clear of both window edges; the
-margins are reported alongside the estimates.
+or process fan-out. `run_trials` decodes each distinct syndrome once and
+counts logical errors against payload qubits, the logical pairs whose
+operators sit clear of both window edges (`_interior`); `measure_distance`
+searches the same interior by default.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .pauli import PauliWindow
 from .qcc import QccCode
 from .qviterbi import DEFAULT_STATE_CAP, ErrorTrellis, batch_decode, build_error_trellis
 
+# trials sampled, decoded and classified together by `run_trials`
+CHUNK = 2048
+
 
 class ChannelModel(Enum):
     DEPOLARIZING = "depolarizing"
@@ -35,7 +39,7 @@ class ChannelSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_err <= 1.0:
-            raise ValueError("error probability must be in [0, 1]")
+            raise ValueError(f"error probability {self.p_err} is not in [0, 1]")
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -60,16 +64,9 @@ def _sample_xz(spec: ChannelSpec, L: int, rng: np.random.Generator):
     return x.astype(np.int64), z.astype(np.int64)
 
 
-def sample_error(spec: ChannelSpec, L: int, rng_seed) -> PauliWindow:
-    """One error draw; rng_seed is an int seed, a (seed, trial) pair, or a
-    ready Generator."""
-    if isinstance(rng_seed, np.random.Generator):
-        rng = rng_seed
-    elif isinstance(rng_seed, tuple):
-        rng = trial_rng(*rng_seed)
-    else:
-        rng = trial_rng(int(rng_seed), 0)
-    x, z = _sample_xz(spec, L, rng)
+def sample_error(spec: ChannelSpec, L: int, trial: tuple[int, int]) -> PauliWindow:
+    """The error `run_trials` draws for trial `trial` = (seed, index)."""
+    x, z = _sample_xz(spec, L, trial_rng(*trial))
     return PauliWindow(x, z, spec.N)
 
 
@@ -132,20 +129,17 @@ class TrialReport:
         return wilson_interval(self.info_symbol_errors, self.decoded_info_symbols)
 
 
-def payload_indices(code: QccCode, left_blocks: int | None = None,
-                    right_blocks: int | None = None) -> tuple[int, ...]:
-    """Logical pairs whose operators avoid both window edges.
-
-    Defaults: one block on the left (the zero-history start), and the
-    template span rounded up to blocks on the right (where truncated
-    generators leave errors under-constrained)."""
+def _interior(code: QccCode) -> tuple[int, int]:
+    """Registers [lo, hi) clear of the zero-history start by one block and of
+    the right edge, where truncated generators leave errors
+    under-constrained, by `support_bound` rounded up to blocks."""
     step = code.regs_per_block
-    if left_blocks is None:
-        left_blocks = 1
-    if right_blocks is None:
-        right_blocks = -(-code.support_bound // step)
-    lo = left_blocks * step
-    hi = code.L - right_blocks * step
+    return step, code.L - -(-code.support_bound // step) * step
+
+
+def payload_indices(code: QccCode) -> tuple[int, ...]:
+    """Logical pairs whose operators lie inside the interior (`_interior`)."""
+    lo, hi = _interior(code)
     stab = code.stabilizer
     keep = []
     for i, (lx, lz) in enumerate(zip(stab.logical_x, stab.logical_z)):
@@ -191,9 +185,6 @@ def run_trials(
     spec: ChannelSpec,
     trials: int,
     seed: int,
-    window: int | None = None,
-    payload: tuple[int, ...] | None = None,
-    chunk: int = 2048,
     trial_offset: int = 0,
     trellis: ErrorTrellis | None = None,
 ) -> TrialReport:
@@ -206,16 +197,13 @@ def run_trials(
     of another code raises ValueError."""
     if spec.N != code.N:
         raise ValueError("channel and code register dimensions differ")
-    if window is not None and window != code.window_blocks:
-        code = QccCode(code.parent, window)
     stab = code.stabilizer
     if trellis is None:
         trellis = build_error_trellis(code)
     elif ((trellis.p, trellis.block_regs) != (code.N, code.regs_per_block)
           or not np.array_equal(trellis.stab._gen_matrix, stab._gen_matrix)):
         raise ValueError("the error trellis was built for a different code")
-    if payload is None:
-        payload = payload_indices(code)
+    payload = payload_indices(code)
     L, p = code.L, code.N
 
     gen = stab._gen_matrix
@@ -229,8 +217,8 @@ def run_trials(
 
     block_errors = 0
     symbol_errors = 0
-    for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
+    for start in range(0, trials, CHUNK):
+        count = min(CHUNK, trials - start)
         ex = np.empty((count, L), dtype=np.int64)
         ez = np.empty((count, L), dtype=np.int64)
         for i in range(count):
@@ -238,7 +226,7 @@ def run_trials(
         syn = (ex @ gz.T - ez @ gx.T) % p
         # most trials share a handful of syndromes; decode each once
         uniq, inverse = np.unique(syn, axis=0, return_inverse=True)
-        ux, uz, _ = batch_decode(trellis, uniq, chunk=chunk)
+        ux, uz, _ = batch_decode(trellis, uniq, chunk=CHUNK)
         cx, cz = ux[inverse], uz[inverse]
         rx, rz = (ex - cx) % p, (ez - cz) % p
         # action of the residual on payload logicals, pairwise (Z then X row)
@@ -251,7 +239,7 @@ def run_trials(
         trials=trials,
         timesteps=code.window_blocks,
         payload_qubits=len(payload),
-        payload_indices=tuple(payload),
+        payload_indices=payload,
         logical_block_errors=block_errors,
         info_symbol_errors=symbol_errors,
         decoded_info_symbols=trials * len(payload),
@@ -369,14 +357,10 @@ def measure_distance(code: QccCode, interior: tuple[int, int] | None = None) -> 
     generators and of all logicals restricted to the interior, sectioned
     by register (`_min_weight_count`). There is no cap on the size of the
     syndrome-free space; only a pass that would exceed the trellis state
-    cap raises StateCapError."""
+    cap raises StateCapError. The default interior is `_interior(code)`."""
     stab = code.stabilizer
     L, p = code.L, code.N
-    step = code.regs_per_block
-    if interior is None:
-        right = -(-code.support_bound // step) * step
-        interior = (step, L - right)
-    lo, hi = interior
+    lo, hi = interior if interior is not None else _interior(code)
     if hi <= lo:
         raise ValueError("empty interior range")
 

@@ -3,7 +3,8 @@
 Subcommands: check-catastrophic, build-qcc, print-stabilizers, simulate,
 verify-statevec, viterbi. Machine-readable output goes to stdout,
 diagnostics to stderr. Exit codes: 0 success, 2 input error, 3 domain
-rejection (catastrophic parent and similar).
+rejection (catastrophic parent and similar). Input errors, out-of-range
+`simulate --p`, `--trials` and `--jobs` among them, print one `error:` line.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -32,7 +34,7 @@ from .gfpoly import RankDeficientError, catastrophic_check
 from .pauli import PauliWindow
 from .qcc import CatastrophicParentError, QccCode, op_to_text
 from .qviterbi import build_error_trellis
-from .statevec import StateVector, decode_step_eq1, encode_eq1, fidelity, verify_logical
+from .statevec import decode_step_eq1, encode_eq1, fidelity, verify_logical
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -97,32 +99,71 @@ def cmd_build_qcc(args) -> int:
     return EXIT_OK
 
 
+def _op_field(op: PauliWindow) -> str:
+    """An operator as one field: its p=2 string, else compact JSON."""
+    text = op_to_text(op)
+    return text if isinstance(text, str) else json.dumps(text, separators=(",", ":"))
+
+
 def cmd_print_stabilizers(args) -> int:
     qcc = _build(args)
     print(f"# qcclab {__version__}")
     print(f"# registers={qcc.L} step={qcc.regs_per_block} logical={qcc.k_info}")
     for t in qcc.templates:
-        pat = op_to_text(t.pattern)
+        pat = _op_field(t.pattern)
         print(f"template {t.kind} offset={t.offset} step={t.step} {pat}")
     stab = qcc.stabilizer
     for g in stab.generators:
-        print(f"generator {op_to_text(g)}")
+        print(f"generator {_op_field(g)}")
     for i, (lx, lz) in enumerate(zip(stab.logical_x, stab.logical_z)):
-        print(f"logical-x {i} {op_to_text(lx)}")
-        print(f"logical-z {i} {op_to_text(lz)}")
+        print(f"logical-x {i} {_op_field(lx)}")
+        print(f"logical-z {i} {_op_field(lz)}")
     return EXIT_OK
 
 
-def _simulate_range(payload) -> TrialReport:
-    code_doc, window, model, p_err, n, seed, offset = payload
+# built once in each `simulate --jobs` worker: (code, trellis, model, seed)
+_worker_run = None
+
+
+def _init_worker(code_doc, window, model, seed) -> None:
+    global _worker_run
     code = QccCode(ConvCode.from_json(code_doc), window)
-    spec = ChannelSpec(p_err, ChannelModel(model), code.N)
-    return run_trials(code, spec, n, seed, trial_offset=offset)
+    _worker_run = (code, build_error_trellis(code), ChannelModel(model), seed)
+
+
+def _simulate_range(p_err: float, n: int, offset: int) -> TrialReport:
+    code, trellis, model, seed = _worker_run
+    return run_trials(code, ChannelSpec(p_err, model, code.N), n, seed, offset, trellis)
+
+
+def _reports(qcc: QccCode, trellis, specs, args):
+    """Each channel's report; under --jobs, one range per worker of one pool."""
+    if args.jobs == 1 or args.trials == 0:
+        for spec in specs:
+            yield run_trials(qcc, spec, args.trials, args.seed, trellis=trellis)
+        return
+    per = -(-args.trials // args.jobs)
+    offsets = range(0, args.trials, per)
+    counts = [min(per, args.trials - off) for off in offsets]
+    init = (qcc.parent.to_json(), qcc.window_blocks, args.model, args.seed)
+    with ProcessPoolExecutor(args.jobs, multiprocessing.get_context("spawn"),
+                             initializer=_init_worker, initargs=init) as pool:
+        for spec in specs:
+            ranges = pool.map(_simulate_range, [spec.p_err] * len(counts), counts, offsets)
+            yield functools.reduce(TrialReport.merge, ranges)
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be at least 0, got {args.trials}")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     qcc = _build(args)
     model = ChannelModel(args.model)
+    try:
+        specs = [ChannelSpec(p_err, model, qcc.N) for p_err in args.p]
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     try:
         require_payload(qcc)
     except EmptyPayloadError as exc:
@@ -145,28 +186,16 @@ def cmd_simulate(args) -> int:
 
     print(f"# qcclab {__version__}")
     print("p,trials,Pe_hat,Pe_lo,Pe_hi,Pb_hat,Pb_lo,Pb_hi,Pe_bound,Pb_bound")
-    for p_err in args.p:
-        spec = ChannelSpec(p_err, model, qcc.N)
-        if args.jobs > 1 and args.trials > 0:
-            per = -(-args.trials // args.jobs)
-            ranges = [
-                (qcc.parent.to_json(), qcc.window_blocks, model.value, p_err,
-                 min(per, args.trials - off), args.seed, off)
-                for off in range(0, args.trials, per)
-            ]
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rep = functools.reduce(TrialReport.merge, pool.map(_simulate_range, ranges))
-        else:
-            rep = run_trials(qcc, spec, args.trials, args.seed, trellis=trellis)
+    for rep in _reports(qcc, trellis, specs, args):
         pe_lo, pe_hi = rep.p_e_interval
         pb_lo, pb_hi = rep.p_b_interval
         if d is not None:
-            pe_bound, pb_bound = union_bound(b_d, b_d, d, qcc.parent.k, p_err)
+            pe_bound, pb_bound = union_bound(b_d, b_d, d, qcc.parent.k, rep.p_err)
             bound_cols = f"{pe_bound:.6g},{pb_bound:.6g}"
         else:
             bound_cols = "nan,nan"
         print(
-            f"{p_err:.6g},{rep.trials},{rep.p_e_hat:.6g},{pe_lo:.6g},{pe_hi:.6g},"
+            f"{rep.p_err:.6g},{rep.trials},{rep.p_e_hat:.6g},{pe_lo:.6g},{pe_hi:.6g},"
             f"{rep.p_b_hat:.6g},{pb_lo:.6g},{pb_hi:.6g},{bound_cols}"
         )
     return EXIT_OK

@@ -46,48 +46,6 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"modulus must be prime, got {p}")
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of GF(p) for prime p."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other: "FieldElement | int") -> "FieldElement":
-        if isinstance(other, int):
-            return FieldElement(other, self.p)
-        if other.p != self.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-        return other
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value + o.value, self.p)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value - o.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value * o.value, self.p)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __int__(self) -> int:
-        return self.value
-
-
 class Poly:
     """Polynomial over GF(p) in the delay variable D, canonical form."""
 

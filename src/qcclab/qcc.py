@@ -320,11 +320,6 @@ def _periodic_patterns(kind, ops, step, L) -> list[Template]:
     return sorted(kept, key=lambda t: t.offset)
 
 
-def build_qcc(parent: ConvCode, window_blocks: int) -> QccCode:
-    """Validate and assemble the windowed code (see QccCode)."""
-    return QccCode(parent, window_blocks)
-
-
 @dataclass(frozen=True)
 class CodewordForm:
     """Closed-form description of the code's states: phase schedule from
@@ -334,19 +329,6 @@ class CodewordForm:
 
     def __post_init__(self) -> None:
         _require_non_catastrophic(self.parent)
-
-    def a_coeffs(self, n_blocks: int) -> np.ndarray:
-        """Phase coupling: a[r, j] couples dummy r to info symbol j."""
-        return encoding_matrix(self.parent, n_blocks)
-
-    def b_coeffs(self, n_blocks: int) -> np.ndarray:
-        """Register content: b[s, r] adds dummy r into final register s."""
-        n_mid = self.parent.n * n_blocks
-        if n_mid % self.parent.k:
-            raise ValueError(
-                f"{n_blocks} blocks give {n_mid} dummies, not a multiple of k={self.parent.k}"
-            )
-        return encoding_matrix(self.parent, n_mid // self.parent.k)
 
     def amplitudes(self, info: Sequence[int], n_blocks: int | None = None) -> np.ndarray:
         """Direct summation over all dummy assignments; the desk-scale
@@ -360,8 +342,15 @@ class CodewordForm:
             if len(info) % parent.k:
                 raise ValueError("info length must be a multiple of k")
             n_blocks = len(info) // parent.k
-        A, B = self.a_coeffs(n_blocks), self.b_coeffs(n_blocks)
-        L, n_mid = B.shape
+        n_mid = parent.n * n_blocks
+        if n_mid % parent.k:
+            raise ValueError(
+                f"{n_blocks} blocks give {n_mid} dummies, not a multiple of k={parent.k}"
+            )
+        # A[r, j] couples dummy r to info symbol j; B[s, r] adds it to register s
+        A = encoding_matrix(parent, n_blocks)
+        B = encoding_matrix(parent, n_mid // parent.k)
+        L = B.shape[0]
         info = np.asarray(info, dtype=np.int64)
         if info.shape != (A.shape[1],):
             raise ValueError("info length does not match the window")

@@ -11,7 +11,9 @@ whatever the cuts, and every decoder here runs `convcode.viterbi`, with
 its one tie-break rule: among corrections of minimum weight, the
 lexicographically smallest sequence of branch indices wins, which is the
 smallest register-interleaved (x, z) assignment. So costs and corrections
-depend neither on the cuts nor on the generator basis.
+depend neither on the cuts nor on the generator basis. Every decoder takes
+a built `ErrorTrellis`, so one trellis serves many calls, and syndromes
+as arrays of values in the window's generator order.
 """
 
 from __future__ import annotations
@@ -27,18 +29,6 @@ from .pauli import PauliWindow, StabilizerWindow
 from .qcc import QccCode
 
 DEFAULT_STATE_CAP = 1 << 24
-
-
-@dataclass(frozen=True)
-class SyndromeSequence:
-    """Syndrome values aligned with a StabilizerWindow's generator order."""
-
-    values: tuple[int, ...]
-    L: int
-
-    @classmethod
-    def from_error(cls, stab: StabilizerWindow, error: PauliWindow) -> "SyndromeSequence":
-        return cls(tuple(int(v) for v in stab.syndrome(error)), stab.L)
 
 
 @dataclass(frozen=True)
@@ -99,10 +89,10 @@ class ErrorTrellis:
     registers and includes every block boundary. A section's branches are
     the error patterns on its registers. `n_blocks`, `first_block`,
     `last_block` and `n_states(t)` count blocks, and `max_open` covers
-    every section boundary.
+    every section boundary. States over `size_cap` raise StateCapError.
     """
 
-    def __init__(self, stab: StabilizerWindow, block_regs: int, state_cap: int | None = None):
+    def __init__(self, stab: StabilizerWindow, block_regs: int):
         if block_regs < 1:
             raise ValueError("block size must be positive")
         self.stab = stab
@@ -142,7 +132,7 @@ class ErrorTrellis:
         self.bounds = _section_bounds(self._n_open, self._last, block_regs, p)
 
         max_open = max(int(self._n_open[b]) for b in self.bounds)
-        cap = size_cap(state_cap, DEFAULT_STATE_CAP)
+        cap = size_cap(None, DEFAULT_STATE_CAP)
         if p ** max_open > cap:
             raise StateCapError(
                 f"{p}^{max_open} trellis states exceed cap {cap}"
@@ -196,11 +186,10 @@ class ErrorTrellis:
             "step": step_keys(wt[label], label, S_prev, n_branch, self.L + 1).reshape(shape),
         }
 
-    def map_syndrome(self, syn: SyndromeSequence | Sequence[int]) -> np.ndarray:
+    def map_syndrome(self, syn: Sequence[int] | np.ndarray) -> np.ndarray:
         """Observed syndrome values (one row or many) in the trellis's
         generator basis."""
-        values = syn.values if isinstance(syn, SyndromeSequence) else syn
-        values = np.asarray(values, dtype=np.int64)
+        values = np.asarray(syn, dtype=np.int64)
         if values.shape[-1:] != (len(self.stab.generators),):
             raise ValueError(
                 f"expected {len(self.stab.generators)} syndrome values, got {values.shape}"
@@ -208,22 +197,8 @@ class ErrorTrellis:
         return (values @ self.transform.T) % self.p
 
 
-def build_error_trellis(
-    code: QccCode | StabilizerWindow,
-    block_regs: int | None = None,
-    state_cap: int | None = None,
-) -> ErrorTrellis:
-    if isinstance(code, QccCode):
-        return ErrorTrellis(code.stabilizer, code.regs_per_block, state_cap)
-    if block_regs is None:
-        raise ValueError("block_regs is required for a bare stabilizer window")
-    return ErrorTrellis(code, block_regs, state_cap)
-
-
-def _as_trellis(code, state_cap: int | None = None) -> ErrorTrellis:
-    if isinstance(code, ErrorTrellis):
-        return code
-    return build_error_trellis(code, state_cap=state_cap)
+def build_error_trellis(code: QccCode) -> ErrorTrellis:
+    return ErrorTrellis(code.stabilizer, code.regs_per_block)
 
 
 def _decode(trellis: ErrorTrellis, syndromes, settled=None):
@@ -268,15 +243,10 @@ def _block_labels(trellis: ErrorTrellis, x: np.ndarray, z: np.ndarray) -> tuple[
     return tuple(labels)
 
 
-def qva_decode(
-    code: QccCode | ErrorTrellis,
-    syn: SyndromeSequence | Sequence[int],
-    state_cap: int | None = None,
-) -> RecoveryPath:
+def qva_decode(trellis: ErrorTrellis, syn: Sequence[int]) -> RecoveryPath:
     """Minimum-weight Pauli correction consistent with the syndrome; its
     `branches` are the block patterns (`_block_labels`)."""
-    trellis = _as_trellis(code, state_cap)
-    values = np.asarray(syn.values if isinstance(syn, SyndromeSequence) else syn, dtype=np.int64)
+    values = np.asarray(syn, dtype=np.int64)
     labels, cost = _decode(trellis, values)
     x, z = _corrections(trellis, labels)
     correction = PauliWindow(x[0], z[0], trellis.p)
@@ -305,8 +275,8 @@ def batch_decode(
 
 
 def streaming_decode(
-    code: QccCode | ErrorTrellis,
-    syn: SyndromeSequence | Sequence[int],
+    trellis: ErrorTrellis,
+    syn: Sequence[int],
     traceback: int,
 ) -> list[RecoveryPath]:
     """Blockwise decoding with commits at a fixed latency.
@@ -317,7 +287,6 @@ def streaming_decode(
     the committed corrections agree with the full-window decoder. Returns
     one segment per block.
     """
-    trellis = _as_trellis(code)
     min_tb = max(
         int(l - f) + 1 for f, l in zip(trellis.first_block, trellis.last_block)
     )

@@ -27,16 +27,17 @@ from .pauli import PauliWindow
 
 DEFAULT_AMPLITUDE_CAP = 1 << 24
 NORM_TOL = 1e-10
+LOGICAL_TOL = 1e-9
 # a Fourier kernel with at most this many amplitudes after its register
 # runs as one GEMM with kron(F, I); above it, as a stacked matmul with F
 _KRON_MAX_TRAILING = 16
 
 
-def _check_dims(N: int, L: int, cap: int | None = None) -> None:
+def _check_dims(N: int, L: int) -> None:
     """Register dimension and amplitude cap, checked before any allocation."""
     if not is_prime(N):
         raise ValueError(f"register dimension must be prime, got {N}")
-    if N**L > size_cap(cap, DEFAULT_AMPLITUDE_CAP):
+    if N**L > size_cap(None, DEFAULT_AMPLITUDE_CAP):
         raise StateCapError(f"state of {N}^{L} amplitudes exceeds the cap")
 
 
@@ -191,8 +192,8 @@ class StateVector:
 
     __slots__ = ("N", "L", "amp")
 
-    def __init__(self, N: int, L: int, amp: np.ndarray, cap: int | None = None):
-        _check_dims(N, L, cap)
+    def __init__(self, N: int, L: int, amp: np.ndarray):
+        _check_dims(N, L)
         amp = np.ascontiguousarray(amp, dtype=np.complex128).reshape((N,) * L)
         _check_norm(amp)
         amp.setflags(write=False)
@@ -392,7 +393,6 @@ def verify_logical(
     expected_info_delta: Sequence[int],
     N: int,
     T: int | None = None,
-    tol: float = 1e-9,
 ) -> bool:
     """True iff op maps the codeword of `info` to the codeword of
     info + expected_info_delta, up to global phase."""
@@ -401,4 +401,4 @@ def verify_logical(
     before = encode_eq1(info, N, T)
     target_info = [(a + b) % N for a, b in zip(info, expected_info_delta)]
     target = encode_eq1(target_info, N, T)
-    return fidelity(before.apply_pauli(op), target) >= 1 - tol
+    return fidelity(before.apply_pauli(op), target) >= 1 - LOGICAL_TOL

@@ -223,3 +223,37 @@ def first_stabilizer_violation(generators, logical_x, logical_z):
                 if a.sym_product(b):
                     return message
     return None
+
+
+def trials_by_reference(code, spec, trials, seed):
+    """The `TrialReport` of `run_trials`, one trial at a time: trial i's
+    error is `sample_error(spec, L, (seed, i))`, the scalar decoder corrects
+    its syndrome, and `classify_residual` names the logical pairs the
+    residual acts on; those among the payload count as symbol errors, and
+    any of them as a block error."""
+    from qcclab import channel
+    from qcclab.qviterbi import build_error_trellis, qva_decode
+
+    stab = code.stabilizer
+    trellis = build_error_trellis(code)
+    payload = channel.payload_indices(code)
+    block_errors = symbol_errors = 0
+    for i in range(trials):
+        error = channel.sample_error(spec, code.L, (seed, i))
+        correction = qva_decode(trellis, stab.syndrome(error)).correction
+        residual = error.compose(correction.inverse())
+        hit = set(stab.classify_residual(residual).affected) & set(payload)
+        block_errors += bool(hit)
+        symbol_errors += len(hit)
+    return channel.TrialReport(
+        trials=trials,
+        timesteps=code.window_blocks,
+        payload_qubits=len(payload),
+        payload_indices=payload,
+        logical_block_errors=block_errors,
+        info_symbol_errors=symbol_errors,
+        decoded_info_symbols=trials * len(payload),
+        seed=seed,
+        p_err=spec.p_err,
+        model=spec.model.value,
+    )

@@ -1,4 +1,5 @@
-"""Window distance and its count against exhaustive enumeration."""
+"""Window distance and its count against exhaustive enumeration, and
+Monte Carlo counts against a trial-by-trial reference."""
 
 import pytest
 
@@ -8,7 +9,7 @@ from qcclab.channel import measure_distance
 from qcclab.convcode import StateCapError
 from qcclab.qviterbi import build_error_trellis
 
-from oracles import acting_weights_up_to, distance_by_enumeration
+from oracles import acting_weights_up_to, distance_by_enumeration, trials_by_reference
 
 FLAGSHIP = [[[1, 0, 1], [1, 1, 1]]]
 ONE_PLUS_D = [[[1], [1, 1]]]
@@ -98,9 +99,15 @@ def test_run_trials_rejects_a_trellis_of_another_code(other):
         channel.run_trials(code, spec, 10, seed=0, trellis=build_error_trellis(code_of(*other)))
 
 
-def test_run_trials_rejects_the_trellis_of_an_overridden_window():
-    code = code_of(FLAGSHIP, 2, 8)
-    spec = channel.ChannelSpec(0.03, N=2)
-    with pytest.raises(ValueError, match="built for a different code"):
-        channel.run_trials(code, spec, 10, seed=0, window=10,
-                           trellis=build_error_trellis(code))
+@pytest.mark.parametrize("taps, p, window, p_err", [
+    (FLAGSHIP, 2, 8, 0.1),
+    (FLAGSHIP, 3, 8, 0.1),
+    ("wide", 2, 6, 0.1),
+], ids=["flagship-p2-W8", "flagship-p3-W8", "wide-W6"])
+def test_run_trials_counts_match_trial_by_trial_reference(taps, p, window, p_err):
+    code = code_of(taps, p, window)
+    spec = channel.ChannelSpec(p_err, N=p)
+    reports = [channel.run_trials(code, spec, 60, seed) for seed in (1, 2, 3)]
+    assert reports == [trials_by_reference(code, spec, 60, seed) for seed in (1, 2, 3)]
+    # some residuals act on the payload, so the comparison is not vacuous
+    assert sum(r.info_symbol_errors for r in reports) > 0

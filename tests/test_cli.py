@@ -128,13 +128,48 @@ def test_check_catastrophic_verdicts(tmp_path, capsys):
 
 
 def test_simulate_output_independent_of_jobs(flagship_file, capsys):
-    argv = ["simulate", "--code", flagship_file, "--p", "0.03", "--window", "8",
+    argv = ["simulate", "--code", flagship_file, "--p", "0.03", "0.1", "--window", "8",
             "--trials", "300", "--seed", "5"]
     outputs = []
-    for jobs in ("1", "3"):
+    for jobs in ("1", "2", "3"):
         assert main([*argv, "--jobs", jobs]) == EXIT_OK
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--p", "1.5"],
+    ["--p", "nan"],
+    ["--p", "0.03", "-0.1"],
+    ["--p", "0.03", "--trials", "-3"],
+    ["--p", "0.03", "--jobs", "0"],
+    ["--p", "0.03", "--jobs", "-2"],
+], ids=["p-above-1", "p-nan", "second-p-negative", "negative-trials", "jobs-0",
+        "negative-jobs"])
+def test_simulate_input_errors_exit_2_with_one_line(flagship_file, capsys, extra):
+    assert main(["simulate", "--code", flagship_file, "--window", "8", *extra]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_print_stabilizers_operators_are_json_over_gf3(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({**FLAGSHIP, "p": 3}))
+    assert main(["build-qcc", "--code", str(path), "--window", "4"]) == EXIT_OK
+    built = json.loads(capsys.readouterr().out)
+    assert main(["print-stabilizers", "--code", str(path), "--window", "4"]) == EXIT_OK
+    fields = {}
+    for line in capsys.readouterr().out.splitlines():
+        if not line.startswith("#"):
+            fields.setdefault(line.split()[0], []).append(json.loads(line.split()[-1]))
+    assert fields["template"] == [t["pattern"] for t in built["templates"]]
+    assert fields["generator"] == built["generators"]
+    assert fields["logical-x"] == built["logical_x"]
+    assert fields["logical-z"] == built["logical_z"]
+    assert fields["generator"] and fields["template"] and fields["logical-x"]
 
 
 # `simulate --window 10 --trials 400 --seed 7 --p 0.01 0.03` on the flagship

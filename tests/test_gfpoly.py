@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from qcclab.gfpoly import (
     Catastrophicity,
     DegreeOverflowError,
-    FieldElement,
     Poly,
     PolyMatrix,
     RankDeficientError,
@@ -23,29 +22,11 @@ def P(coeffs, p=2):
     return Poly(coeffs, p)
 
 
-class TestFieldElement:
-    def test_arithmetic(self):
-        a = FieldElement(2, 5)
-        b = FieldElement(4, 5)
-        assert (a + b).value == 1
-        assert (a - b).value == 3
-        assert (a * b).value == 3
-        assert (b.inverse() * b).value == 1
-
-    def test_rejects_composite_modulus(self):
-        with pytest.raises(ValueError):
-            FieldElement(1, 4)
-
-    def test_rejects_mixed_moduli(self):
-        with pytest.raises(ValueError):
-            FieldElement(1, 3) + FieldElement(1, 5)
-
-    def test_zero_has_no_inverse(self):
-        with pytest.raises(ZeroDivisionError):
-            FieldElement(0, 7).inverse()
-
-
 class TestPoly:
+    def test_rejects_composite_modulus(self):
+        with pytest.raises(ValueError, match="modulus must be prime"):
+            P([1, 1], 4)
+
     def test_canonical_form_strips_trailing_zeros(self):
         assert P([1, 1, 0, 0]).coeffs == (1, 1)
         assert P([0, 0]).coeffs == ()

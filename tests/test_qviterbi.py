@@ -132,10 +132,10 @@ class TestStreaming:
 
 
 class TestStateCap:
-    def test_error_trellis_raises_the_classical_class(self, rate_half_parent):
-        code = small_code("p2")
-        with pytest.raises(StateCapError):
-            build_error_trellis(code, state_cap=4)
+    def test_error_trellis_raises_the_classical_class(self, rate_half_parent, monkeypatch):
+        monkeypatch.setenv("QCC_STATE_CAP", "4")
+        with pytest.raises(StateCapError, match="exceed cap 4"):
+            build_error_trellis(small_code("p2"))
         with pytest.raises(StateCapError):
             build_trellis(rate_half_parent, state_cap=2)
 
