@@ -2,9 +2,14 @@
 
 Subcommands: check-catastrophic, build-qcc, print-stabilizers, simulate,
 verify-statevec, viterbi. Machine-readable output goes to stdout,
-diagnostics to stderr. Exit codes: 0 success, 2 input error, 3 domain
+diagnostics to stderr. Exit codes: 0 success, 1 reader closed stdout
+(nothing more is printed, on stdout or stderr), 2 input error, 3 domain
 rejection (catastrophic parent and similar). Input errors, out-of-range
 `simulate --p`, `--trials` and `--jobs` among them, print one `error:` line.
+
+The `Pb_bound` column of `simulate` is the union bound with the count A_d
+of minimum-weight logical operators in place of B_d, the count weighted by
+the information symbols they flip, which is not computed yet.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import argparse
 import functools
 import json
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -37,6 +43,7 @@ from .qviterbi import build_error_trellis
 from .statevec import decode_step_eq1, encode_eq1, fidelity, verify_logical
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
@@ -294,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=6)
     p.set_defaults(fn=cmd_print_stabilizers)
 
-    p = sub.add_parser("simulate", help="Monte Carlo decoded-error rates")
+    p = sub.add_parser(
+        "simulate", help="Monte Carlo decoded-error rates",
+        description="Monte Carlo decoded-error rates, with union bounds from the "
+        "window distance; Pb_bound uses A_d in place of B_d.")
     add_code(p)
     p.add_argument("--window", type=int, default=6)
     p.add_argument("--p", type=float, nargs="+", required=True, help="channel error rates")
@@ -329,6 +339,11 @@ def main(argv=None) -> int:
     except (CatastrophicParentError, RankDeficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # the reader closed stdout; with stdout on devnull the interpreter's
+        # final flush of what is still buffered stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .convcode import StateCapError, group_candidates, size_cap, step_keys, viterbi
+from .convcode import StateCapError, size_cap, step_keys, viterbi
 from .pauli import PauliWindow, StabilizerWindow
 from .qcc import QccCode
 
@@ -90,6 +90,16 @@ class ErrorTrellis:
     the error patterns on its registers. `n_blocks`, `first_block`,
     `last_block` and `n_states(t)` count blocks, and `max_open` covers
     every section boundary. States over `size_cap` raise StateCapError.
+
+    A section's candidates are grouped by the values its closing
+    generators reach and the next state. The tables come from digit
+    arithmetic, not from keying every (state, branch) pair: a branch alone
+    fixes the digits of the generators that open in the section, so a
+    group's candidates are the branches whose new digits equal the group's,
+    and each has one previous state, digit by digit the group's digit less
+    the branch's contribution mod p. Step keys depend on the branch alone
+    and are stored once per branch, one row per value of the new digits;
+    `step_row` maps each group to its row.
     """
 
     def __init__(self, stab: StabilizerWindow, block_regs: int):
@@ -157,33 +167,57 @@ class ErrorTrellis:
         open_prev = [g for g in active if first[g] < lo]
         open_next = [g for g in active if last[g] >= hi]
         closing = [g for g in active if last[g] < hi]
+        # a group holds the values the closing generators reach, then the
+        # next state, as base-p digits over `keyed`; a row of syndromes
+        # takes the group whose closing values it observed
+        keyed = closing + open_next
+        new = [g for g in keyed if first[g] >= lo]
         S_prev = p ** len(open_prev)
         n_branch = len(pats)
-        states = _digits(len(open_prev), p)
+        # syndrome convention: sym(error, gen) = x_e . z_g - z_e . x_g
+        contrib = (bx @ self.gen_z[keyed, lo:hi].T - bz @ self.gen_x[keyed, lo:hi].T) % p
 
-        # group key of each (state, branch): the values the closing
-        # generators reach, then the next state; a row of syndromes takes
-        # the group whose closing values it observed. Keys of at most 16
-        # bits take less arithmetic and sort by radix.
-        n_groups = p ** len(active)
-        dtype = np.uint16 if n_groups <= 1 << 16 else np.int64
-        key = np.zeros((S_prev, n_branch), dtype=dtype)
-        for g in closing + open_next:
-            # syndrome convention: sym(error, gen) = x_e . z_g - z_e . x_g
-            contrib = (bx @ self.gen_z[g, lo:hi] - bz @ self.gen_x[g, lo:hi]) % p
-            prev = states[:, open_prev.index(g)] if g in open_prev else np.zeros(S_prev)
-            key *= p
-            key += (prev.astype(dtype)[:, None] + contrib.astype(dtype)) % p
-        src, label = np.divmod(group_candidates(key.ravel(), n_groups), n_branch)
-        shape = (p ** len(closing), p ** len(open_next), -1)
+        # a branch alone sets the digits of the generators opening here,
+        # so the candidates of a group are the branches whose new digits
+        # are the group's, each from one previous state
+        n_new = p ** len(new)
+        new_key = contrib[:, [keyed.index(g) for g in new]] @ p ** np.arange(len(new) - 1, -1, -1)
+        counts = np.bincount(new_key, minlength=n_new)
+        if counts.min() != counts.max():
+            raise AssertionError("trellis section whose next states differ in fan-in")
+        members = np.argsort(new_key, kind="stable").reshape(n_new, -1)
+
+        # previous state of every (new digits, candidate, open_prev digits),
+        # one open_prev digit at a time from the last: the group's digit
+        # less the branch's contribution
+        dtype = np.min_scalar_type(S_prev - 1)
+        prev = np.zeros((n_new, members.shape[1], 1), dtype=dtype)
+        for g in reversed(open_prev):
+            c = contrib[members, keyed.index(g), None]
+            digit = ((np.arange(p) - c) % p * prev.shape[2]).astype(dtype)
+            prev = (digit[..., None] + prev[:, :, None]).reshape(*prev.shape[:2], -1)
+
+        # the new digits (its step row) and the open_prev digits (its
+        # previous state) of every group, one digit of `keyed` at a time
+        step_row = state = np.zeros(1, dtype=np.int64)
+        for g in keyed:
+            if g in open_prev:
+                weight = p ** (len(open_prev) - 1 - open_prev.index(g))
+                state = (state[:, None] + weight * np.arange(p)).ravel()
+                step_row = step_row.repeat(p)
+            else:
+                step_row = (step_row[:, None] * p + np.arange(p)).ravel()
+                state = state.repeat(p)
+        shape = (p ** len(closing), p ** len(open_next))
         return {
             "lo": lo,
             "hi": hi,
             "bx": bx,
             "bz": bz,
             "closing": closing,
-            "src": src.astype(np.min_scalar_type(S_prev - 1)).reshape(shape),
-            "step": step_keys(wt[label], label, S_prev, n_branch, self.L + 1).reshape(shape),
+            "src": prev.transpose(0, 2, 1)[step_row, state].reshape(*shape, -1),
+            "step": step_keys(wt[members], members, S_prev, n_branch, self.L + 1),
+            "step_row": step_row.astype(np.min_scalar_type(n_new - 1)).reshape(shape),
         }
 
     def map_syndrome(self, syn: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -212,7 +246,8 @@ def _decode(trellis: ErrorTrellis, syndromes, settled=None):
             group = np.zeros(len(targets), dtype=np.int64)
             for g in tab["closing"]:
                 group = group * p + targets[:, g]
-            yield tab["src"][group], tab["step"][group], len(tab["bx"])
+            step = np.take(tab["step"], tab["step_row"][group], axis=0)
+            yield tab["src"][group], step, len(tab["bx"])
 
     labels, cost, _ = viterbi(sections(), np.zeros((len(targets), 1)), inf, settled)
     if (cost >= inf).any():

@@ -257,3 +257,42 @@ def trials_by_reference(code, spec, trials, seed):
         p_err=spec.p_err,
         model=spec.model.value,
     )
+
+
+def section_tables_by_sorting(trellis, lo, hi):
+    """The candidate tables of the error-trellis section [lo, hi) by keying
+    every (previous state, branch) pair with its group (the values the
+    closing generators reach, then the next state) and sorting the keys.
+    Returns (src, label, step), each of shape (closing values, next states,
+    F): previous state, branch label and step key of every candidate."""
+    from qcclab.convcode import group_candidates, step_keys
+    from qcclab.qviterbi import _digits
+
+    p = trellis.p
+    pats = _digits(2 * (hi - lo), p)
+    bx = pats[:, 0::2]
+    bz = pats[:, 1::2]
+    wt = ((bx != 0) | (bz != 0)).sum(axis=1)
+
+    first, last = trellis._first, trellis._last
+    active = [g for g in range(trellis.G) if first[g] < hi and last[g] >= lo]
+    open_prev = [g for g in active if first[g] < lo]
+    open_next = [g for g in active if last[g] >= hi]
+    closing = [g for g in active if last[g] < hi]
+    S_prev = p ** len(open_prev)
+    n_branch = len(pats)
+    states = _digits(len(open_prev), p)
+
+    n_groups = p ** len(active)
+    dtype = np.uint16 if n_groups <= 1 << 16 else np.int64
+    key = np.zeros((S_prev, n_branch), dtype=dtype)
+    for g in closing + open_next:
+        # syndrome convention: sym(error, gen) = x_e . z_g - z_e . x_g
+        contrib = (bx @ trellis.gen_z[g, lo:hi] - bz @ trellis.gen_x[g, lo:hi]) % p
+        prev = states[:, open_prev.index(g)] if g in open_prev else np.zeros(S_prev)
+        key *= p
+        key += (prev.astype(dtype)[:, None] + contrib.astype(dtype)) % p
+    src, label = np.divmod(group_candidates(key.ravel(), n_groups), n_branch)
+    shape = (p ** len(closing), p ** len(open_next), -1)
+    step = step_keys(wt[label], label, S_prev, n_branch, trellis.L + 1)
+    return src.reshape(shape), label.reshape(shape), step.reshape(shape)

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qcclab.channel import TrialReport
-from qcclab.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, main
+from qcclab.cli import EXIT_CLOSED, EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, main
 
 FLAGSHIP = {"p": 2, "k": 1, "n": 2, "G": [[[1, 0, 1], [1, 1, 1]]]}
 # (1 + D, 1 + D^2) over GF(2): both taps share the factor 1 + D
@@ -170,6 +174,24 @@ def test_print_stabilizers_operators_are_json_over_gf3(tmp_path, capsys):
     assert fields["logical-x"] == built["logical_x"]
     assert fields["logical-z"] == built["logical_z"]
     assert fields["generator"] and fields["template"] and fields["logical-x"]
+
+
+def test_reader_closing_stdout_exits_1_without_a_traceback(tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({**FLAGSHIP, "p": 3}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # about 135 kB of output, more than a pipe holds, so the command is
+    # still writing when its reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcclab.cli", "print-stabilizers", "--code", str(path),
+         "--window", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# qcclab")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_CLOSED
+    assert err == b""
 
 
 # `simulate --window 10 --trials 400 --seed 7 --p 0.01 0.03` on the flagship

@@ -10,7 +10,12 @@ from qcclab.pauli import PauliWindow
 from qcclab.qviterbi import batch_decode, build_error_trellis, qva_decode, streaming_decode
 from qcclab.statevec import StateVector
 
-from oracles import min_weight_for_syndrome, min_weight_lex_correction
+from oracles import (
+    min_weight_for_syndrome,
+    min_weight_lex_correction,
+    section_tables_by_sorting,
+)
+from test_qcc import random_parent
 
 # windows whose solution cosets hold at most 3^10 operators: the flagship
 # taps over GF(2) at W=3 (2^15) and the m=1 parent (1, 1+D) over GF(3) at W=2
@@ -18,6 +23,8 @@ SMALL = {
     "p2": ([[[1, 0, 1], [1, 1, 1]]], 2, 3),
     "p3": ([[[1], [1, 1]]], 3, 2),
 }
+FLAGSHIP = SMALL["p2"][0]
+ONE_PLUS_D = SMALL["p3"][0]
 
 
 def small_code(name):
@@ -67,7 +74,7 @@ def test_batch_corrections_equal_scalar_corrections(small):
 
 @pytest.fixture(scope="module")
 def long_window():
-    code = QccCode(ConvCode(PolyMatrix.from_coeffs(SMALL["p2"][0], 2)), 12)
+    code = QccCode(ConvCode(PolyMatrix.from_coeffs(FLAGSHIP, 2)), 12)
     return code, build_error_trellis(code)
 
 
@@ -174,7 +181,7 @@ WIDE = {"p": 2, "k": 2, "n": 4, "G": [[[1, 1], [1], [0, 1], [1, 1]],
 
 
 @pytest.mark.parametrize("parent, p, window", [
-    (SMALL["p2"][0], 2, 10), (SMALL["p2"][0], 3, 10), (WIDE, 2, 4), (RATE_THIRD, 2, 4),
+    (FLAGSHIP, 2, 10), (FLAGSHIP, 3, 10), (WIDE, 2, 4), (RATE_THIRD, 2, 4),
 ], ids=["flagship-p2", "flagship-p3", "rate-2/4", "rate-1/3"])
 def test_sections_are_the_least_work_cuts_of_each_block(parent, p, window):
     if isinstance(parent, dict):
@@ -209,3 +216,80 @@ def test_rate_third_parent_decodes_under_the_default_cap():
         assert np.array_equal(zs[row], rec.correction.z)
         assert costs[row] == rec.cost == rec.correction.weight()
         assert np.array_equal(code.stabilizer.syndrome(PauliWindow(xs[row], zs[row], 2)), syn)
+
+
+TABLE_CASES = {
+    "flagship-p2": (FLAGSHIP, 2, 10),
+    "flagship-p3": (FLAGSHIP, 3, 10),
+    "flagship-p5": (FLAGSHIP, 5, 4),
+    "rate-2/4": (WIDE, 2, 4),
+    "rate-1/3": (RATE_THIRD, 2, 4),
+    "1+D-p3": (ONE_PLUS_D, 3, 4),
+    "1+D-p7": (ONE_PLUS_D, 7, 4),
+    **{f"random-p{p}-k{k}": ((p, k), p, 4 // k) for p in (2, 3, 5) for k in (1, 2)},
+}
+
+
+def table_case(name):
+    parent, p, window = TABLE_CASES[name]
+    if isinstance(parent, dict):
+        parent = ConvCode.from_json(parent)
+    elif isinstance(parent, tuple):
+        k = parent[1]
+        # rate 1/2 with memory 2 like the flagship, rate 2/4 with memory 1
+        parent = random_parent(p, k, 2 * k, 3 - k, 0)
+    else:
+        parent = ConvCode(PolyMatrix.from_coeffs(parent, p))
+    return QccCode(parent, window)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_section_tables_equal_the_sorted_construction(name):
+    trellis = build_error_trellis(table_case(name))
+    states = trellis.p ** trellis.max_open
+    for tab in trellis._sections:
+        src, label, step = section_tables_by_sorting(trellis, tab["lo"], tab["hi"])
+        got_step = tab["step"][tab["step_row"]]
+        assert tab["src"].shape == got_step.shape == src.shape
+        # a candidate's label is its step key mod the number of branches
+        assert np.array_equal(step % len(tab["bx"]), label)
+        # every group's candidates as a multiset of (src, label, step)
+        got = np.sort(got_step.astype(np.int64) * states + tab["src"], axis=-1)
+        assert np.array_equal(got, np.sort(step.astype(np.int64) * states + src, axis=-1))
+
+
+def test_section_whose_groups_differ_in_fan_in_is_rejected():
+    trellis = build_error_trellis(table_case("flagship-p3"))
+    lo, hi = trellis.bounds[1], trellis.bounds[2]
+    opening = [g for g in range(trellis.G) if lo <= trellis._first[g] < hi]
+    assert len(opening) >= 2
+    # two generators that open alike leave most of their digit pairs unreached
+    a, b = opening[:2]
+    trellis.gen_x[b, lo:hi] = trellis.gen_x[a, lo:hi]
+    trellis.gen_z[b, lo:hi] = trellis.gen_z[a, lo:hi]
+    with pytest.raises(AssertionError, match="differ in fan-in"):
+        trellis._section_tables(lo, hi)
+
+
+# windows too wide for the exhaustive coset oracle (5^10 and more
+# operators), so each correction is checked against its syndrome, the
+# scalar decoder and the sampled error's weight instead
+WIDE_FIELDS = {"flagship-p5": (FLAGSHIP, 5, 3), "1+D-p7": (ONE_PLUS_D, 7, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_FIELDS))
+def test_batch_decoding_over_wider_fields(name):
+    taps, p, window = WIDE_FIELDS[name]
+    code = QccCode(ConvCode(PolyMatrix.from_coeffs(taps, p)), window)
+    trellis = build_error_trellis(code)
+    spec = ChannelSpec(0.15, ChannelModel.DEPOLARIZING, code.N)
+    errors = [sample_error(spec, code.L, (16, i)) for i in range(24)]
+    syns = np.array([code.stabilizer.syndrome(e) for e in errors])
+    xs, zs, costs = batch_decode(trellis, syns, chunk=10)
+    for row, (syn, error) in enumerate(zip(syns, errors)):
+        rec = qva_decode(trellis, syn)
+        assert np.array_equal(xs[row], rec.correction.x)
+        assert np.array_equal(zs[row], rec.correction.z)
+        correction = PauliWindow(xs[row], zs[row], p)
+        assert np.array_equal(code.stabilizer.syndrome(correction), syn)
+        assert costs[row] == rec.cost == correction.weight() <= error.weight()
