@@ -161,8 +161,8 @@ def require_payload(code: QccCode) -> tuple[int, ...]:
     if payload:
         return payload
     parent, W = code.parent, code.window_blocks
-    # the search stops at twice the template reference window of 4m + 6
-    # blocks, or at twice this window if that is wider
+    # the search stops at twice the 4m + 6 blocks of the window the
+    # templates are read from, or at twice this window if that is wider
     last = max(2 * W, 8 * parent.m + 12)
     for wider in range(W + 1, last + 1):
         try:
@@ -363,6 +363,8 @@ def measure_distance(code: QccCode, interior: tuple[int, int] | None = None) -> 
     lo, hi = interior if interior is not None else _interior(code)
     if hi <= lo:
         raise ValueError("empty interior range")
+    if lo < 0 or hi > L:
+        raise ValueError(f"interior range [{lo}, {hi}) is not inside the {L} registers [0, {L})")
 
     logicals = np.array([op.symplectic() for op in stab.logical_z + stab.logical_x],
                         dtype=np.int64).reshape(-1, 2 * L)

@@ -38,6 +38,15 @@ def size_cap(explicit: int | None, default: int) -> int:
     return int(env) if env else default
 
 
+def field_symbols(values, p: int, what: str) -> np.ndarray:
+    """`values` as an int64 array, or ValueError naming `what` unless they
+    are integers in GF(p)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu" or ((values < 0) | (values >= p)).any():
+        raise ValueError(f"{what} must be integers in GF({p}), 0..{p - 1}")
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class ConvCode:
     """k-input n-output m-memory convolutional code with generator G."""
@@ -300,10 +309,7 @@ def viterbi_decode(
         raise ValueError(f"received length must be a positive multiple of n={n}")
     if traceback is not None and traceback < 1:
         raise ValueError("traceback depth must be >= 1")
-    rec = np.asarray(received)
-    if rec.dtype.kind not in "biu" or ((rec < 0) | (rec >= code.p)).any():
-        raise ValueError(f"received symbols must be integers in GF({code.p}), 0..{code.p - 1}")
-    rec = rec.astype(np.int64).reshape(-1, n)
+    rec = field_symbols(received, code.p, "received symbols").reshape(-1, n)
     T = rec.shape[0]
     if terminated and T <= m:
         raise ValueError("terminated stream shorter than the zero tail")

@@ -17,6 +17,11 @@ the window widens until the system is consistent, and one elimination over
 its columns in reverse order gives the left edge; the reduced-form solution
 there vanishes past the last column it needs. Both encoding matrices are
 block Toeplitz in the parent's taps (`encoding_matrix`).
+
+Away from the window's edges the minimal-span generator rows are exact
+shifts of a few fixed patterns, so the templates are read from the middle
+block of one reference window of 4m + 6 blocks, whatever the window
+(`QccCode.templates`).
 """
 
 from __future__ import annotations
@@ -60,6 +65,12 @@ def encoding_matrix(code: ConvCode, n_blocks: int) -> np.ndarray:
         c = np.arange(n_blocks - d)
         M[c + d, :, c, :] = t[d].T
     return M.reshape(n * n_blocks, k * n_blocks)
+
+
+def _generator_rows(A: np.ndarray, B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows spanning the X-type generators (B applied to the dual of
+    im(A)) and the Z-type generators (the dual of im(B))."""
+    return (linalg.kernel(A.T, p) @ B.T) % p, linalg.kernel(B.T, p)
 
 
 def _unit(n: int, i: int) -> np.ndarray:
@@ -180,8 +191,7 @@ class QccCode:
         p = self.N
         A, B = self.first_matrix, self.second_matrix
         L, K = self.L, self.k_info
-        x_gens = linalg.rref((linalg.kernel(A.T, p) @ B.T) % p, p)[0]
-        z_gens = linalg.rref(linalg.kernel(B.T, p), p)[0]
+        x_gens, z_gens = (linalg.rref(rows, p)[0] for rows in _generator_rows(A, B, p))
         gens = [PauliWindow(v, np.zeros(L), p) for v in x_gens]
         gens += [PauliWindow(np.zeros(L), v, p) for v in z_gens]
         log_x, log_z = zip(*(self._logical_pair(i) for i in range(K)))
@@ -207,10 +217,14 @@ class QccCode:
 
     @cached_property
     def templates(self) -> tuple["Template", ...]:
-        """Interior periodic patterns with their shift step, for display and
-        for streaming decoders. Boundary generators near the window edges
-        are window-specific and live only in `stabilizer`."""
-        return _extract_templates(self)
+        """The operator patterns of the interior, with their shift step, for
+        display; they depend on the parent alone. The stabilizer templates
+        are the minimal-span X and Z generator rows that start in the
+        middle block of a reference window of 4m + 6 blocks (rounded up to
+        a multiple of k), one per row; the logical templates are the pair
+        of that window's middle qudit. Boundary generators near the window
+        edges are window-specific and live only in `stabilizer`."""
+        return _extract_templates(self.parent)
 
     def to_json(self) -> dict:
         stab = self.stabilizer
@@ -257,35 +271,25 @@ class Template:
         }
 
 
-def _extract_templates(code: QccCode) -> tuple[Template, ...]:
-    """Pull shift-invariant interior patterns from a reference window.
-
-    Minimal span bases of the generator spaces recover the shifted family
-    structure that echelon form obscures; only patterns recurring at the
-    same offset class count as templates."""
-    parent = code.parent
-    step = code.regs_per_block
-    ref_blocks = max(code.window_blocks, 4 * parent.m + 6)
-    if ref_blocks % parent.k:
-        ref_blocks += parent.k - ref_blocks % parent.k
-    ref = code if ref_blocks == code.window_blocks else QccCode(parent, ref_blocks)
-    p, L = ref.N, ref.L
-    A, B = ref.first_matrix, ref.second_matrix
+def _extract_templates(parent: ConvCode) -> tuple[Template, ...]:
+    """Templates read from the middle block of the reference window."""
+    blocks = 4 * parent.m + 6
+    ref = QccCode(parent, blocks + -blocks % parent.k)
+    p, L, step = ref.N, ref.L, ref.regs_per_block
+    mid = ref.window_blocks // 2 * step
     zeros = np.zeros(L, dtype=np.int64)
-
     out: list[Template] = []
-    x_rows = linalg.minimal_span_basis((linalg.kernel(A.T, p) @ B.T) % p, p)
-    z_rows = linalg.minimal_span_basis(linalg.kernel(B.T, p), p)
-    out.extend(
-        _periodic_patterns("stabilizer-x", [PauliWindow(v, zeros, p) for v in x_rows], step, L)
-    )
-    out.extend(
-        _periodic_patterns("stabilizer-z", [PauliWindow(zeros, v, p) for v in z_rows], step, L)
-    )
-    # logical templates from a safely interior qubit
+    for kind, rows in zip(("stabilizer-x", "stabilizer-z"),
+                          _generator_rows(ref.first_matrix, ref.second_matrix, p)):
+        rows = linalg.minimal_span_basis(rows, p)  # sorted by start, so by offset
+        starts = (rows != 0).argmax(axis=1)
+        for row in rows[(mid <= starts) & (starts < mid + step)]:
+            xz = (row, zeros) if kind == "stabilizer-x" else (zeros, row)
+            pat, start = _normalize(PauliWindow(*xz, p))
+            out.append(Template(kind, pat, start - mid, step))
     for kind, op in zip(("logical-x", "logical-z"), ref._logical_pair(ref.k_info // 2)):
-        pat, off = _normalize(op)
-        out.append(Template(kind, pat, off % step, step))
+        pat, start = _normalize(op)
+        out.append(Template(kind, pat, start % step, step))
     return tuple(out)
 
 
@@ -301,23 +305,6 @@ def _normalize(op: PauliWindow) -> tuple[PauliWindow, int]:
     x = op.x[start:end] * scale % op.p
     z = op.z[start:end] * scale % op.p
     return PauliWindow(x, z, op.p), start
-
-
-def _periodic_patterns(kind, ops, step, L) -> list[Template]:
-    """Keep patterns that reappear shifted by the step, one representative
-    per offset class, skipping boundary-truncated instances; listed by
-    offset."""
-    seen: dict[tuple, Template] = {}
-    counts: dict[tuple, int] = {}
-    for op in ops:
-        pat, start = _normalize(op)
-        if start == 0 or start + _span_len(pat) >= L:
-            continue  # possibly truncated at an edge
-        key = (pat.x.tobytes(), pat.z.tobytes(), start % step)
-        counts[key] = counts.get(key, 0) + 1
-        seen.setdefault(key, Template(kind, pat, start % step, step))
-    kept = [t for key, t in seen.items() if counts[key] >= 2]
-    return sorted(kept, key=lambda t: t.offset)
 
 
 @dataclass(frozen=True)

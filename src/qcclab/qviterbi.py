@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .convcode import StateCapError, size_cap, step_keys, viterbi
+from .convcode import StateCapError, field_symbols, size_cap, step_keys, viterbi
 from .pauli import PauliWindow, StabilizerWindow
 from .qcc import QccCode
 
@@ -89,7 +89,8 @@ class ErrorTrellis:
     registers and includes every block boundary. A section's branches are
     the error patterns on its registers. `n_blocks`, `first_block`,
     `last_block` and `n_states(t)` count blocks, and `max_open` covers
-    every section boundary. States over `size_cap` raise StateCapError.
+    every section boundary. States, or the candidates of one section, over
+    `size_cap` raise StateCapError before any table is built.
 
     A section's candidates are grouped by the values its closing
     generators reach and the next state. The tables come from digit
@@ -146,6 +147,13 @@ class ErrorTrellis:
         if p ** max_open > cap:
             raise StateCapError(
                 f"{p}^{max_open} trellis states exceed cap {cap}"
+            )
+        # a section [a, b) tabulates p^(o_a + 2(b - a)) candidates
+        widest = max(int(self._n_open[a]) + 2 * (b - a)
+                     for a, b in zip(self.bounds, self.bounds[1:]))
+        if p ** widest > cap:
+            raise StateCapError(
+                f"{p}^{widest} candidates in one trellis section exceed cap {cap}"
             )
         self.max_open = max_open
         self._sections = [self._section_tables(lo, hi)
@@ -223,11 +231,12 @@ class ErrorTrellis:
     def map_syndrome(self, syn: Sequence[int] | np.ndarray) -> np.ndarray:
         """Observed syndrome values (one row or many) in the trellis's
         generator basis."""
-        values = np.asarray(syn, dtype=np.int64)
+        values = np.asarray(syn)
         if values.shape[-1:] != (len(self.stab.generators),):
             raise ValueError(
                 f"expected {len(self.stab.generators)} syndrome values, got {values.shape}"
             )
+        values = field_symbols(values, self.p, "syndrome values")
         return (values @ self.transform.T) % self.p
 
 
@@ -281,11 +290,10 @@ def _block_labels(trellis: ErrorTrellis, x: np.ndarray, z: np.ndarray) -> tuple[
 def qva_decode(trellis: ErrorTrellis, syn: Sequence[int]) -> RecoveryPath:
     """Minimum-weight Pauli correction consistent with the syndrome; its
     `branches` are the block patterns (`_block_labels`)."""
-    values = np.asarray(syn, dtype=np.int64)
-    labels, cost = _decode(trellis, values)
+    labels, cost = _decode(trellis, syn)
     x, z = _corrections(trellis, labels)
     correction = PauliWindow(x[0], z[0], trellis.p)
-    assert np.array_equal(trellis.stab.syndrome(correction) % trellis.p, values % trellis.p)
+    assert np.array_equal(trellis.stab.syndrome(correction), syn)
     return RecoveryPath(correction, int(cost[0]), _block_labels(trellis, x[0], z[0]))
 
 
@@ -297,7 +305,7 @@ def batch_decode(
     Returns (x, z, cost) arrays of shapes (M, L), (M, L), (M,); each row is
     the correction qva_decode returns for that syndrome.
     """
-    syndromes = np.asarray(syndromes, dtype=np.int64)
+    syndromes = np.asarray(syndromes)
     M = syndromes.shape[0]
     xs = np.zeros((M, trellis.L), dtype=np.int64)
     zs = np.zeros((M, trellis.L), dtype=np.int64)

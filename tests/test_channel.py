@@ -67,6 +67,14 @@ def test_explicit_interior_matches_exhaustive_search():
         distance_by_enumeration(code, interior=(6, 18))
 
 
+# flagship p=2 at W=8 has 32 registers
+@pytest.mark.parametrize("lo, hi", [(-4, 20), (4, 36)], ids=["below-0", "past-L"])
+def test_interior_outside_the_window_is_rejected(lo, hi):
+    code = code_of(FLAGSHIP, 2, 8)
+    with pytest.raises(ValueError, match=f"\\[{lo}, {hi}\\) is not inside the 32 registers"):
+        measure_distance(code, interior=(lo, hi))
+
+
 def test_count_overflow_raises(monkeypatch):
     # flagship p=2 at W=8 has 3 operators of weight 3; with a count limit
     # of 2 the pass must refuse instead of wrapping

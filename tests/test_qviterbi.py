@@ -7,7 +7,13 @@ from qcclab import ConvCode, PolyMatrix, QccCode, build_trellis
 from qcclab.channel import ChannelModel, ChannelSpec, sample_error
 from qcclab.convcode import StateCapError
 from qcclab.pauli import PauliWindow
-from qcclab.qviterbi import batch_decode, build_error_trellis, qva_decode, streaming_decode
+from qcclab.qviterbi import (
+    ErrorTrellis,
+    batch_decode,
+    build_error_trellis,
+    qva_decode,
+    streaming_decode,
+)
 from qcclab.statevec import StateVector
 
 from oracles import (
@@ -154,6 +160,37 @@ class TestStateCap:
             build_error_trellis(small_code("p2"))
         with pytest.raises(StateCapError):
             StateVector.basis(2, 2, [0, 0])
+
+    def test_section_over_the_cap_raises_before_its_tables(self, monkeypatch):
+        # 7 open generators fit the cap, but one section would tabulate
+        # 5^13 candidates, a 4.55 GiB table
+        def no_tables(*args):
+            raise AssertionError("section table built")
+
+        monkeypatch.setattr(ErrorTrellis, "_section_tables", no_tables)
+        with pytest.raises(StateCapError, match="5\\^13 candidates .* exceed cap 16777216$"):
+            build_error_trellis(QccCode(random_parent(5, 2, 4, 1, 1), 2))
+
+    def test_widest_flagship_p5_window_builds_under_the_cap(self):
+        trellis = build_error_trellis(QccCode(ConvCode(PolyMatrix.from_coeffs(FLAGSHIP, 5)), 10))
+        sections = zip(trellis.bounds, trellis.bounds[1:])
+        # 5^10 candidates in its widest section, under the default cap of 2^24
+        assert max(trellis._n_open[a] + 2 * (b - a) for a, b in sections) == 10
+        assert len(trellis._sections) == len(trellis.bounds) - 1
+
+
+@pytest.mark.parametrize("value", [5, -1, 1.7], ids=["above", "negative", "fraction"])
+def test_decoders_reject_syndrome_values_outside_the_field(small, value):
+    code, trellis = small
+    syn = np.zeros(len(code.stabilizer.generators), dtype=type(value))
+    syn[1] = value
+    field = f"GF\\({code.N}\\)"
+    with pytest.raises(ValueError, match=field):
+        trellis.map_syndrome(syn)
+    with pytest.raises(ValueError, match=field):
+        qva_decode(trellis, syn)
+    with pytest.raises(ValueError, match=field):
+        batch_decode(trellis, syn[None])
 
 
 def _decoding_work(trellis, bounds):
