@@ -3,14 +3,23 @@ channels, with union-bound comparison and window distance measurement.
 
 Trials draw i.i.d. register errors from counter-based RNG streams keyed by
 (seed, trial index), so results are bit-identical regardless of chunking
-or process fan-out. `run_trials` decodes each distinct syndrome once and
-counts logical errors against payload qubits, the logical pairs whose
-operators sit clear of both window edges (`_interior`); `measure_distance`
-searches the same interior by default.
+or process fan-out. Trial t's stream is numpy's `Generator(Philox(key=
+[seed, t]))` (`trial_rng`), Philox4x64-10, and `sample_error` draws one
+trial from it. `run_trials` draws a whole chunk of trials at once
+(`_sample_chunk`): it computes Philox4x64-10 for every (trial, counter)
+pair of the chunk with numpy uint64 arithmetic and reads the words in the
+order numpy's `Generator` reads them, so every trial's error equals
+`sample_error`'s bit for bit. Seeds and trial indices lie in [0, 2^63).
+
+`run_trials` decodes each distinct syndrome once and counts logical errors
+against payload qubits, the logical pairs whose operators sit clear of
+both window edges (`_interior`); `measure_distance` searches the same
+interior by default.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -65,9 +74,151 @@ def _sample_xz(spec: ChannelSpec, L: int, rng: np.random.Generator):
 
 
 def sample_error(spec: ChannelSpec, L: int, trial: tuple[int, int]) -> PauliWindow:
-    """The error `run_trials` draws for trial `trial` = (seed, index)."""
+    """The error `run_trials` draws for trial `trial` = (seed, index): the
+    per-trial reference of its chunk sampler (`_sample_chunk`)."""
+    check_trial_keys(trial[0], trial[1], 1)
     x, z = _sample_xz(spec, L, trial_rng(*trial))
     return PauliWindow(x, z, spec.N)
+
+
+# numpy keys Philox with exactly [seed, trial] only while both fit in int64
+_KEY_LIMIT = 2**63
+
+
+def check_trial_keys(seed: int, first: int, count: int) -> None:
+    """ValueError unless `seed` and the trial indices [first, first + count)
+    all lie in [0, 2^63), the range over which each (seed, trial) pair keys
+    its own stream."""
+    if not 0 <= seed < _KEY_LIMIT:
+        raise ValueError(f"seed must be in [0, 2^63), got {seed}")
+    if first < 0:
+        raise ValueError(f"trial indices must be at least 0, got {first}")
+    if first + count > _KEY_LIMIT:
+        raise ValueError(f"trial indices must be below 2^63, got up to {first + count - 1}")
+
+
+# Philox4x64-10 (Salmon et al., SC 2011) with the Random123 constants: the
+# round multipliers, split into 32-bit halves for the high word of each
+# product, and the per-round key increments; 0-d arrays, the cheapest
+# operands for numpy on small chunks
+_U64 = functools.partial(np.array, dtype=np.uint64)
+_PHILOX_M = [(_U64(m), _U64(m & 0xFFFFFFFF), _U64(m >> 32))
+             for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)]
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK32, _SHIFT32 = _U64(0xFFFFFFFF), _U64(32)
+
+
+def _mulhilo(m, a: np.ndarray):
+    """High and low 64-bit words of the 128-bit products m * a, for one of
+    `_PHILOX_M` and a uint64 array a. The low word is the wrapping product;
+    the high word is summed from 32-bit halves."""
+    m, m_lo, m_hi = m
+    a_lo, a_hi = a & _MASK32, a >> _SHIFT32
+    lo_lo = a_lo * m_lo
+    hi_lo = a_hi * m_lo
+    mid = (lo_lo >> _SHIFT32) + (hi_lo & _MASK32) + a_lo * m_hi
+    return a_hi * m_hi + (hi_lo >> _SHIFT32) + (mid >> _SHIFT32), a * m
+
+
+def _philox_words(seed: int, first: int, count: int, blocks: int) -> np.ndarray:
+    """Words [0, 4 * blocks) of the streams `trial_rng(seed, t)`, one column
+    per trial t in [first, first + count): shape (4 * blocks, count).
+
+    Each block is Philox4x64-10 of the counter (b + 1, 0, 0, 0), numpy
+    bumping the counter before it makes block b, under the key (seed, t).
+    The state is kept flat, block-major, so every operation is on whole
+    contiguous arrays."""
+    x0 = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64), count)
+    x1 = x2 = x3 = np.zeros_like(x0)
+    k1 = np.tile(np.arange(first, first + count, dtype=np.uint64), blocks)
+    w1 = _U64(_PHILOX_W[1])
+    for r in range(_PHILOX_ROUNDS):
+        # the key (seed, t), bumped by _PHILOX_W before every round but the first
+        k0 = _U64((seed + r * _PHILOX_W[0]) % 2**64)
+        if r:
+            k1 = k1 + w1
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.empty((blocks, 4, count), dtype=np.uint64)
+    for i, x in enumerate((x0, x1, x2, x3)):
+        words[:, i] = x.reshape(blocks, count)
+    return words.reshape(4 * blocks, count)
+
+
+def _stream_positions(calls, L: int):
+    """Where each call of `_sample_xz` reads its stream, in numpy `Generator`
+    order. `calls` holds None for a `random(L)` call and (low, high) for
+    an `integers(low, high, size=L)` call.
+
+    A `random` call takes the next L words: a slice of word indices. An
+    `integers` call over more than one value takes one 32-bit half per
+    draw, the low half of a word first; a high half left over is taken by
+    the next such call, whatever came between. Its positions are half
+    indices, 2 * word (+ 1 for the high half). Over one value nothing is
+    read: None. Also returns the number of words read."""
+    positions = []
+    words = 0
+    pending = []  # a high half left over by the last bounded call
+    for call in calls:
+        if call is None:
+            positions.append(slice(words, words + L))
+            words += L
+        elif call[1] - call[0] == 1:
+            positions.append(None)
+        else:
+            fresh = L - len(pending)
+            halves = pending + list(range(2 * words, 2 * words + fresh))
+            positions.append(np.array(halves, dtype=np.uint64))
+            words += -(-fresh // 2)
+            pending = [2 * words - 1] if fresh % 2 else []
+    return positions, words
+
+
+def _lemire(u: np.ndarray, r: int):
+    """numpy's bounded draw in [0, r] from 32-bit words u held in uint64
+    (Lemire's multiply-shift), and whether numpy would reject u and draw
+    again."""
+    m = u * (r + 1)
+    return m >> _SHIFT32, (m & _MASK32) < (0xFFFFFFFF - r) % (r + 1)
+
+
+def _sample_chunk(spec: ChannelSpec, L: int, seed: int, first: int, count: int):
+    """`_sample_xz(spec, L, trial_rng(seed, t))` for t in [first, first +
+    count), as the rows of (count, L) arrays x and z, from one Philox pass
+    over the chunk. A trial with a bounded draw that numpy would reject,
+    and so draw again, is drawn by `_sample_xz` instead."""
+    N = spec.N
+    if spec.model is ChannelModel.DEPOLARIZING:
+        calls = (None, (1, N * N))
+    else:
+        calls = (None, (1, N)) * 2
+    positions, n_words = _stream_positions(calls, L)
+    words = _philox_words(seed, first, count, -(-n_words // 4))
+    draws = []
+    redraw = np.zeros(count, dtype=bool)
+    for call, pos in zip(calls, positions):
+        if call is None:
+            draws.append((words[pos] >> 11) * 2.0**-53 < spec.p_err)
+        elif pos is None:
+            draws.append(call[0])
+        else:
+            u = (words[pos >> 1] >> ((pos & 1) * 32)[:, None]) & _MASK32
+            value, rejected = _lemire(u, call[1] - call[0] - 1)
+            draws.append(value + call[0])
+            redraw |= rejected.any(axis=0)
+    if spec.model is ChannelModel.DEPOLARIZING:
+        hit, kind = draws
+        x, z = np.where(hit, kind // N, 0), np.where(hit, kind % N, 0)
+    else:
+        hx, vx, hz, vz = draws
+        x, z = np.where(hx, vx, 0), np.where(hz, vz, 0)
+    # (L, count) to (count, L), in one copy each
+    x, z = x.T.astype(np.int64, order="C"), z.T.astype(np.int64, order="C")
+    for i in np.flatnonzero(redraw):
+        x[i], z[i] = _sample_xz(spec, L, trial_rng(seed, first + int(i)))
+    return x, z
 
 
 def wilson_interval(count: int, total: int, z: float = 1.959963984540054):
@@ -96,7 +247,9 @@ class TrialReport:
 
     @property
     def p_e_hat(self) -> float:
-        """Block error rate; NaN when no block was decoded."""
+        """Trials with any payload logical error, per trial and window block
+        (not per payload block, so it moves with the window); NaN when no
+        block was decoded."""
         total = self.trials * self.timesteps
         return self.logical_block_errors / total if total else float("nan")
 
@@ -190,13 +343,19 @@ def run_trials(
 ) -> TrialReport:
     """Sample, measure, decode, classify; exactly reproducible from seed.
 
+    Trial t's error is `sample_error(spec, code.L, (seed, t))`: each chunk
+    of up to CHUNK trials is drawn in one vectorized Philox4x64-10 pass
+    (`_sample_chunk`) that reproduces the per-trial streams exactly.
     trial_offset shifts the RNG stream indices so disjoint ranges can run
-    in separate processes and still sum to the single-process result.
-    `trellis` is the code's error trellis, built here when not given, so
-    that runs of one code at several error rates can share it; a trellis
-    of another code raises ValueError."""
+    in separate processes and still sum to the single-process result; the
+    seed and the trial indices [trial_offset, trial_offset + trials) must
+    lie in [0, 2^63), else ValueError. `trellis` is the code's error
+    trellis, built here when not given, so that runs of one code at
+    several error rates can share it; a trellis of another code raises
+    ValueError."""
     if spec.N != code.N:
         raise ValueError("channel and code register dimensions differ")
+    check_trial_keys(seed, trial_offset, trials)
     stab = code.stabilizer
     if trellis is None:
         trellis = build_error_trellis(code)
@@ -219,10 +378,7 @@ def run_trials(
     symbol_errors = 0
     for start in range(0, trials, CHUNK):
         count = min(CHUNK, trials - start)
-        ex = np.empty((count, L), dtype=np.int64)
-        ez = np.empty((count, L), dtype=np.int64)
-        for i in range(count):
-            ex[i], ez[i] = _sample_xz(spec, L, trial_rng(seed, trial_offset + start + i))
+        ex, ez = _sample_chunk(spec, L, seed, trial_offset + start, count)
         syn = (ex @ gz.T - ez @ gx.T) % p
         # most trials share a handful of syndromes; decode each once
         uniq, inverse = np.unique(syn, axis=0, return_inverse=True)

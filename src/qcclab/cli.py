@@ -5,11 +5,21 @@ verify-statevec, viterbi. Machine-readable output goes to stdout,
 diagnostics to stderr. Exit codes: 0 success, 1 reader closed stdout
 (nothing more is printed, on stdout or stderr), 2 input error, 3 domain
 rejection (catastrophic parent and similar). Input errors, out-of-range
-`simulate --p`, `--trials` and `--jobs` among them, print one `error:` line.
+`simulate --p`, `--trials`, `--seed` and `--jobs` among them, print one
+`error:` line.
 
-The `Pb_bound` column of `simulate` is the union bound with the count A_d
-of minimum-weight logical operators in place of B_d, the count weighted by
-the information symbols they flip, which is not computed yet.
+`simulate` prints one row per channel error rate. `Pe_hat` is the number
+of trials whose decoded residual acts on any payload logical pair, divided
+by trials times the window's W blocks. A trial counts once however many
+payload blocks fail, and every block of the window counts in the divisor,
+so `Pe_hat` is not a per-payload-block rate, and it moves with W. `Pb_hat`
+is the number of payload logical pairs acted on, divided by trials times
+the payload size: a rate per payload symbol. `Pe_lo`, `Pe_hi`, `Pb_lo` and
+`Pb_hi` are their 95% Wilson intervals. `Pe_bound` and `Pb_bound` are union
+bounds from the window's distance d and its count A_d of minimum-weight
+logical operators, which grows with W. `Pb_bound` uses A_d in place of B_d,
+the count weighted by the information symbols they flip, which is not
+computed yet.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .channel import (
     ChannelSpec,
     EmptyPayloadError,
     TrialReport,
+    check_trial_keys,
     measure_distance,
     require_payload,
     run_trials,
@@ -165,6 +176,10 @@ def cmd_simulate(args) -> int:
         raise InputError(f"--trials must be at least 0, got {args.trials}")
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    try:
+        check_trial_keys(args.seed, 0, args.trials)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     qcc = _build(args)
     model = ChannelModel(args.model)
     try:
@@ -304,12 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate", help="Monte Carlo decoded-error rates",
         description="Monte Carlo decoded-error rates, with union bounds from the "
-        "window distance; Pb_bound uses A_d in place of B_d.")
+        "window distance. Pe_hat counts trials with any payload logical error, divided "
+        "by trials x window blocks: not a per-payload-block rate, so it moves with the "
+        "window. Pb_hat is per payload symbol. Pe_bound and Pb_bound use the window's "
+        "count A_d of minimum-weight logicals; Pb_bound uses A_d in place of B_d.")
     add_code(p)
     p.add_argument("--window", type=int, default=6)
     p.add_argument("--p", type=float, nargs="+", required=True, help="channel error rates")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the trial streams, an integer in [0, 2^63)")
     p.add_argument("--model", choices=[m.value for m in ChannelModel],
                    default=ChannelModel.DEPOLARIZING.value)
     p.add_argument("--jobs", type=int, default=1)

@@ -1,6 +1,8 @@
-"""Window distance and its count against exhaustive enumeration, and
-Monte Carlo counts against a trial-by-trial reference."""
+"""Window distance and its count against exhaustive enumeration, Monte
+Carlo counts against a trial-by-trial reference, and the chunk sampler
+against the per-trial numpy streams."""
 
+import numpy as np
 import pytest
 
 from qcclab import ConvCode, PolyMatrix, QccCode
@@ -119,3 +121,115 @@ def test_run_trials_counts_match_trial_by_trial_reference(taps, p, window, p_err
     assert reports == [trials_by_reference(code, spec, 60, seed) for seed in (1, 2, 3)]
     # some residuals act on the payload, so the comparison is not vacuous
     assert sum(r.info_symbol_errors for r in reports) > 0
+
+
+@pytest.mark.parametrize("model", list(channel.ChannelModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("N", [2, 3, 5, 7])
+@pytest.mark.parametrize("L", [7, 8, 41])
+def test_chunk_sampler_equals_the_per_trial_streams(model, N, L):
+    spec = channel.ChannelSpec(0.3, model, N)
+    for seed, first in ((0, 0), (2**63 - 1, 2**40 + 3)):
+        x, z = channel._sample_chunk(spec, L, seed, first, 40)
+        assert x.shape == z.shape == (40, L)
+        for i in range(40):
+            rx, rz = channel._sample_xz(spec, L, channel.trial_rng(seed, first + i))
+            assert (x[i] == rx).all() and (z[i] == rz).all()
+
+
+def test_run_trials_draws_each_chunk_from_the_per_trial_streams(monkeypatch):
+    # CHUNK + 5 trials from an offset: two chunks, the second a short one
+    code = code_of(FLAGSHIP, 2, 8)
+    spec = channel.ChannelSpec(0.1, N=2)
+    seed, offset = 2**63 - 1, 7
+    drawn = []
+    original = channel._sample_chunk
+
+    def spy(*args):
+        drawn.append((args[3], original(*args)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(channel, "_sample_chunk", spy)
+    channel.run_trials(code, spec, channel.CHUNK + 5, seed, trial_offset=offset)
+    assert [(first, len(x)) for first, (x, _) in drawn] == \
+        [(offset, channel.CHUNK), (offset + channel.CHUNK, 5)]
+    for first, (x, z) in drawn:
+        for i in range(len(x)):
+            error = channel.sample_error(spec, code.L, (seed, first + i))
+            assert (x[i] == error.x).all() and (z[i] == error.z).all()
+
+
+def test_trial_ranges_add_up_across_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(channel, "CHUNK", 16)
+    code = code_of(FLAGSHIP, 2, 8)
+    spec = channel.ChannelSpec(0.1, N=2)
+    whole = channel.run_trials(code, spec, 70, seed=0)
+    parts = channel.run_trials(code, spec, 23, seed=0).merge(
+        channel.run_trials(code, spec, 47, seed=0, trial_offset=23))
+    assert whole == parts
+    assert whole.info_symbol_errors > 0
+
+
+def test_bounded_draw_flags_the_words_numpy_rejects():
+    # over 3 values (N=2 depolarizing) numpy rejects a word whose low 32
+    # bits of u * 3 fall below 2^32 mod 3 = 1, so u = 0 only
+    u = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint64)
+    value, rejected = channel._lemire(u, 2)
+    assert value.tolist() == [0, 0, 1, 2]
+    assert rejected.tolist() == [True, False, False, False]
+    # over a power of two values nothing is rejected
+    value, rejected = channel._lemire(u, 1)
+    assert value.tolist() == [0, 0, 1, 1]
+    assert not rejected.any()
+
+
+@pytest.mark.parametrize("taps, p, model", [
+    (FLAGSHIP, 2, channel.ChannelModel.DEPOLARIZING),
+    (FLAGSHIP, 3, channel.ChannelModel.INDEPENDENT_XZ),
+], ids=["p2-depolarizing", "p3-independent-xz"])
+def test_rejected_rows_are_drawn_from_their_own_streams(monkeypatch, taps, p, model):
+    # flag every third trial, and spoil its vectorized draw, as numpy's
+    # redraw after a rejection would: only the per-trial fallback gives the
+    # reference's errors back
+    original = channel._lemire
+
+    def flag_every_third(u, r):
+        value, rejected = original(u, r)
+        value, rejected = value.copy(), rejected.copy()
+        value[:, ::3] = (value[:, ::3] + 1) % (r + 1)
+        rejected[0, ::3] = True
+        return value, rejected
+
+    streams = []
+    original_rng = channel.trial_rng
+
+    def recording_rng(*key):
+        streams.append(key)
+        return original_rng(*key)
+
+    monkeypatch.setattr(channel, "_lemire", flag_every_third)
+    monkeypatch.setattr(channel, "trial_rng", recording_rng)
+    code = code_of(taps, p, 8)
+    spec = channel.ChannelSpec(0.1, model, p)
+    report = channel.run_trials(code, spec, 60, seed=1)
+    assert streams == [(1, t) for t in range(0, 60, 3)]
+    assert report == trials_by_reference(code, spec, 60, 1)
+
+
+@pytest.mark.parametrize("seed, offset, message", [
+    (-1, 0, "seed must be in"),
+    (2**63, 0, "seed must be in"),
+    (0, -1, "at least 0"),
+    (0, 2**63 - 5, "below 2\\^63"),
+], ids=["negative-seed", "seed-2^63", "negative-offset", "index-2^63"])
+def test_run_trials_rejects_keys_outside_int64(seed, offset, message):
+    # 10 trials from offset 2^63 - 5 reach index 2^63 + 4
+    code = code_of(FLAGSHIP, 2, 8)
+    with pytest.raises(ValueError, match=message):
+        channel.run_trials(code, channel.ChannelSpec(0.03, N=2), 10, seed, offset)
+
+
+@pytest.mark.parametrize("trial", [(2**63, 0), (-1, 0), (0, 2**63), (0, -1)],
+                         ids=["seed-2^63", "negative-seed", "index-2^63", "negative-index"])
+def test_sample_error_rejects_keys_outside_int64(trial):
+    with pytest.raises(ValueError):
+        channel.sample_error(channel.ChannelSpec(0.03, N=2), 8, trial)

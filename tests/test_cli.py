@@ -149,8 +149,11 @@ def test_simulate_output_independent_of_jobs(flagship_file, capsys):
     ["--p", "0.03", "--trials", "-3"],
     ["--p", "0.03", "--jobs", "0"],
     ["--p", "0.03", "--jobs", "-2"],
+    ["--p", "0.03", "--seed", "-1"],
+    ["--p", "0.03", "--seed", str(2**63)],
+    ["--p", "0.03", "--seed", str(2**64)],
 ], ids=["p-above-1", "p-nan", "second-p-negative", "negative-trials", "jobs-0",
-        "negative-jobs"])
+        "negative-jobs", "negative-seed", "seed-2^63", "seed-2^64"])
 def test_simulate_input_errors_exit_2_with_one_line(flagship_file, capsys, extra):
     assert main(["simulate", "--code", flagship_file, "--window", "8", *extra]) == EXIT_INPUT
     captured = capsys.readouterr()
