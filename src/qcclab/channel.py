@@ -52,7 +52,8 @@ class ChannelSpec:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent stream per (seed, trial); order of use is irrelevant."""
+    """Independent stream per (seed, trial), both in [0, 2^63); order of use is irrelevant."""
+    check_trial_keys(seed, trial, 1)
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
@@ -76,7 +77,6 @@ def _sample_xz(spec: ChannelSpec, L: int, rng: np.random.Generator):
 def sample_error(spec: ChannelSpec, L: int, trial: tuple[int, int]) -> PauliWindow:
     """The error `run_trials` draws for trial `trial` = (seed, index): the
     per-trial reference of its chunk sampler (`_sample_chunk`)."""
-    check_trial_keys(trial[0], trial[1], 1)
     x, z = _sample_xz(spec, L, trial_rng(*trial))
     return PauliWindow(x, z, spec.N)
 
@@ -86,9 +86,11 @@ _KEY_LIMIT = 2**63
 
 
 def check_trial_keys(seed: int, first: int, count: int) -> None:
-    """ValueError unless `seed` and the trial indices [first, first + count)
-    all lie in [0, 2^63), the range over which each (seed, trial) pair keys
-    its own stream."""
+    """ValueError unless `count` >= 0 and `seed` and the trial indices
+    [first, first + count) all lie in [0, 2^63), the range over which each
+    (seed, trial) pair keys its own stream."""
+    if count < 0:
+        raise ValueError(f"trial count must be at least 0, got {count}")
     if not 0 <= seed < _KEY_LIMIT:
         raise ValueError(f"seed must be in [0, 2^63), got {seed}")
     if first < 0:
@@ -347,12 +349,12 @@ def run_trials(
     of up to CHUNK trials is drawn in one vectorized Philox4x64-10 pass
     (`_sample_chunk`) that reproduces the per-trial streams exactly.
     trial_offset shifts the RNG stream indices so disjoint ranges can run
-    in separate processes and still sum to the single-process result; the
-    seed and the trial indices [trial_offset, trial_offset + trials) must
-    lie in [0, 2^63), else ValueError. `trellis` is the code's error
-    trellis, built here when not given, so that runs of one code at
-    several error rates can share it; a trellis of another code raises
-    ValueError."""
+    in separate processes and still sum to the single-process result;
+    `trials` must be at least 0, and the seed and the trial indices
+    [trial_offset, trial_offset + trials) must lie in [0, 2^63), else
+    ValueError. `trellis` is the code's error trellis, built here when not
+    given, so that runs of one code at several error rates can share it; a
+    trellis of another code raises ValueError."""
     if spec.N != code.N:
         raise ValueError("channel and code register dimensions differ")
     check_trial_keys(seed, trial_offset, trials)

@@ -49,9 +49,9 @@ from .channel import (
 from .convcode import ConvCode, StateCapError, build_trellis, viterbi_decode
 from .gfpoly import RankDeficientError, catastrophic_check
 from .pauli import PauliWindow
-from .qcc import CatastrophicParentError, QccCode, op_to_text
+from .qcc import CatastrophicParentError, QccCode, codeword_form, op_to_text
 from .qviterbi import build_error_trellis
-from .statevec import decode_step_eq1, encode_eq1, fidelity, verify_logical
+from .statevec import decode_step_eq1, encode_eq1, fidelity, flagship, verify_logical
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -172,8 +172,6 @@ def _reports(qcc: QccCode, trellis, specs, args):
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 0:
-        raise InputError(f"--trials must be at least 0, got {args.trials}")
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     try:
@@ -224,49 +222,35 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_statevec(args) -> int:
-    """Reproduction suite for the explicit rate-1/4 circuits."""
-    from .qcc import codeword_form
-    from .gfpoly import PolyMatrix
-
+    """Reproduction suite for the flagship's rate-1/4 circuits."""
     failures = 0
 
     def check(name: str, ok: bool) -> None:
         nonlocal failures
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures += 1
+        failures += not ok
 
-    parent = ConvCode(PolyMatrix.from_coeffs([[[1, 0, 1], [1, 1, 1]]], 2))
-    for N in (2, 3):
-        form_parent = ConvCode(
-            PolyMatrix.from_coeffs([[[1, 0, 1], [1, 1, 1]]], N)
-        ) if N != 2 else parent
-        form = codeword_form(form_parent)
+    parents = {N: flagship(N) for N in (2, 3)}
+    for N, parent in parents.items():
+        form = codeword_form(parent)
         for T in (1, 2, 3):
             circuit = encode_eq1([1] + [0] * (T - 1), N, T)
             direct = form.amplitudes([1] + [0] * (T - 1), T)
             f = abs(np.vdot(circuit.amp.ravel(), direct.ravel())) ** 2
             check(f"encode N={N} T={T} circuit-vs-closed-form fidelity", f >= 1 - 1e-9)
-    for N in (2, 3):
-        info = [1, 0, 1][:3]
-        state = encode_eq1(info, N, 3)
-        block, rest = decode_step_eq1(state, N, 3)
+    for N in parents:
+        info = [1, 0, 1]
+        block, rest = decode_step_eq1(encode_eq1(info, N, 3), N, 3)
         k1 = int(np.argmax(block.register_distribution(0)))
         check(f"decode N={N} extracts k1 deterministically", k1 == info[0])
         target = encode_eq1(info[1:], N, 2)
         check(f"decode N={N} remainder re-encodes the tail", fidelity(rest, target) >= 1 - 1e-9)
-    qcc = QccCode(parent, 4)
+    stab = QccCode(parents[2], 4).stabilizer
     state = encode_eq1([0, 0, 0, 0], 2, 4)
-    ok = all(
-        fidelity(state.apply_pauli(g), state) >= 1 - 1e-9
-        for g in qcc.stabilizer.generators
-    )
-    check("stabilizer generators fix the all-zero codeword", ok)
-    lx = qcc.stabilizer.logical_x[0]
-    check(
-        "first spin flip maps codeword 0000 to 1000",
-        verify_logical(lx, [0, 0, 0, 0], [1, 0, 0, 0], 2, 4),
-    )
+    check("stabilizer generators fix the all-zero codeword",
+          all(fidelity(state.apply_pauli(g), state) >= 1 - 1e-9 for g in stab.generators))
+    check("first spin flip maps codeword 0000 to 1000",
+          verify_logical(stab.logical_x[0], [0, 0, 0, 0], [1, 0, 0, 0], 2, 4))
     return EXIT_OK if failures == 0 else 1
 
 

@@ -106,3 +106,45 @@ def minimal_span_basis(vectors, p: int) -> np.ndarray:
         R[rest] = (R[rest] - scale[:, None] * R[ref]) % p
         ends[rest] = cols - 1 - (R[rest, ::-1] != 0).argmax(axis=1)
     return R
+
+
+def _last_needed(C: np.ndarray, b: np.ndarray, p: int) -> int | None:
+    """The least j such that b lies in the span of columns 0..j of C; -1
+    when b is 0, and None when b is not in the span of C.
+
+    In the reduced form of [C | b], b is the combination of the pivot
+    columns that its entries select, so it needs exactly the columns up to
+    the last pivot with a nonzero entry in b's column."""
+    R, pivots = rref(np.column_stack([C, b]), p)
+    if pivots and pivots[-1] == C.shape[1]:
+        return None
+    return max((c for c, coeff in zip(pivots, R[:, -1]) if coeff), default=-1)
+
+
+def solve_localized(M, b, p: int, center: int, halfwidth: int) -> np.ndarray:
+    """Solution of M v = b supported on a narrow contiguous column window.
+
+    Widens a window around `center` until the restricted system becomes
+    consistent, then moves its left edge right as far as b stays in the
+    span of the window's columns, never below one column, and solves on
+    what is left. Spans of nested windows are nested, so one elimination
+    over the window's columns in reverse order both tests consistency and
+    places the left edge (`_last_needed`). The right edge needs no trim:
+    the reduced-form solution already vanishes past the last column that b
+    needs, so trimming there would not change it. The result is a compact,
+    deterministic representative of the solution coset."""
+    M = np.asarray(M, dtype=np.int64)
+    cols = M.shape[1]
+    hw = halfwidth
+    while True:
+        lo, hi = max(0, center - hw), min(cols, center + hw)
+        last = _last_needed(M[:, lo:hi][:, ::-1], b, p)
+        if last is not None:
+            break
+        if lo == 0 and hi == cols:
+            raise AssertionError("linear system unexpectedly inconsistent")
+        hw *= 2
+    lo = hi - 1 - max(last, 0)
+    out = np.zeros(cols, dtype=np.int64)
+    out[lo:hi] = solve(M[:, lo:hi], b, p)
+    return out

@@ -12,11 +12,10 @@ second, codewords are sums over dummy vectors P of w^((Ax).P) |B P>, so
   * the phase shift on qubit i is X^(B mu) with A^T mu = -e_i.
 
 All solves are exact GF(p) linear algebra on the window. Each logical is
-solved on a narrow column window around its block (`_solve_localized`):
-the window widens until the system is consistent, and one elimination over
-its columns in reverse order gives the left edge; the reduced-form solution
-there vanishes past the last column it needs. Both encoding matrices are
-block Toeplitz in the parent's taps (`encoding_matrix`).
+solved on a narrow column window around its block
+(`linalg.solve_localized`). Both encoding matrices are block Toeplitz in
+the parent's taps (`encoding_matrix`); `statevec` derives the encoder and
+decoder circuits from them.
 
 Away from the window's edges the minimal-span generator rows are exact
 shifts of a few fixed patterns, so the templates are read from the middle
@@ -77,48 +76,6 @@ def _unit(n: int, i: int) -> np.ndarray:
     e = np.zeros(n, dtype=np.int64)
     e[i] = 1
     return e
-
-
-def _last_needed(C: np.ndarray, b: np.ndarray, p: int) -> int | None:
-    """The least j such that b lies in the span of columns 0..j of C; -1
-    when b is 0, and None when b is not in the span of C.
-
-    In the reduced form of [C | b], b is the combination of the pivot
-    columns that its entries select, so it needs exactly the columns up to
-    the last pivot with a nonzero entry in b's column."""
-    R, pivots = linalg.rref(np.column_stack([C, b]), p)
-    if pivots and pivots[-1] == C.shape[1]:
-        return None
-    return max((c for c, coeff in zip(pivots, R[:, -1]) if coeff), default=-1)
-
-
-def _solve_localized(M, b, p: int, center: int, halfwidth: int) -> np.ndarray:
-    """Solution of M v = b supported on a narrow contiguous column window.
-
-    Widens a window around `center` until the restricted system becomes
-    consistent, then moves its left edge right as far as b stays in the
-    span of the window's columns, never below one column, and solves on
-    what is left. Spans of nested windows are nested, so one elimination
-    over the window's columns in reverse order both tests consistency and
-    places the left edge (`_last_needed`). The right edge needs no trim:
-    the reduced-form solution already vanishes past the last column that b
-    needs, so trimming there would not change it. The result is a compact,
-    deterministic representative of the solution coset."""
-    M = np.asarray(M, dtype=np.int64)
-    cols = M.shape[1]
-    hw = halfwidth
-    while True:
-        lo, hi = max(0, center - hw), min(cols, center + hw)
-        last = _last_needed(M[:, lo:hi][:, ::-1], b, p)
-        if last is not None:
-            break
-        if lo == 0 and hi == cols:
-            raise AssertionError("linear system unexpectedly inconsistent")
-        hw *= 2
-    lo = hi - 1 - max(last, 0)
-    out = np.zeros(cols, dtype=np.int64)
-    out[lo:hi] = linalg.solve(M[:, lo:hi], b, p)
-    return out
 
 
 @dataclass(frozen=True)
@@ -205,8 +162,8 @@ class QccCode:
         L, K = self.L, self.k_info
         blk = i // self.parent.k
         step, n = self.regs_per_block, self.parent.n
-        u = _solve_localized(B.T, A[:, i], p, center=blk * step, halfwidth=step)
-        mu = _solve_localized(A.T, (-_unit(K, i)) % p, p, center=blk * n, halfwidth=n)
+        u = linalg.solve_localized(B.T, A[:, i], p, center=blk * step, halfwidth=step)
+        mu = linalg.solve_localized(A.T, (-_unit(K, i)) % p, p, center=blk * n, halfwidth=n)
         return PauliWindow(np.zeros(L), u, p), PauliWindow((B @ mu) % p, np.zeros(L), p)
 
     @cached_property

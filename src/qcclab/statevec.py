@@ -10,9 +10,11 @@ the same buffer, so the layout stays contiguous.
 
 `StateVector` is immutable: its gate methods copy the amplitudes once, run
 one kernel on the copy and return a new state. The circuits (`apply_pauli`,
-`encode_eq1`, `decode_step_eq1`) run all their gates on one working buffer
-and build one `StateVector` at the end. The norm is checked after every
-gate, inside circuits too.
+`encode`, `decode_step`) run all their gates on one working buffer, with
+the norm checked after every gate, and build one `StateVector` at the end.
+`encode` and `decode_step` derive their gate lists for any parent from the
+encoding matrices of `qcc.encoding_matrix`; `encode_eq1` and
+`decode_step_eq1` are their instance on the paper's flagship parent.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .convcode import StateCapError, size_cap
-from .gfpoly import is_prime
+from . import linalg
+from .convcode import ConvCode, StateCapError, field_symbols, size_cap
+from .gfpoly import PolyMatrix, is_prime
 from .pauli import PauliWindow
+from .qcc import encoding_matrix
 
 DEFAULT_AMPLITUDE_CAP = 1 << 24
 NORM_TOL = 1e-10
@@ -276,129 +280,140 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amp, b.amp)) ** 2)
 
 
-def apply_elementary(state: StateVector, op_kind: str, **params) -> StateVector:
-    """Dispatch by elementary-operation name; see the gate methods."""
-    return state._gate(op_kind, **params)
+# circuits from the parent's encoding matrices --------------------------------
 
 
-# the flagship rate-1/4 encoding ---------------------------------------------
+def flagship(N: int) -> ConvCode:
+    """The paper's rate-1/2 parent (1 + D^2, 1 + D + D^2) over GF(N)."""
+    return ConvCode(PolyMatrix.from_coeffs([[[1, 0, 1], [1, 1, 1]]], N))
+
+
+def _in_place(M: np.ndarray, p: int) -> list[tuple[str, dict]]:
+    """Gates taking the register vector v to M v, M invertible over GF(p):
+    the row operations of a Gauss-Jordan reduction of M to I, undone in
+    reverse order. A zero pivot gets a lower row added and a pivot other
+    than 1 one `mul`, so a unit lower triangular M costs one `add` per
+    nonzero below its diagonal."""
+    M = np.array(M, dtype=np.int64) % p
+    undo: list[tuple[str, dict]] = []
+    for c in range(len(M)):
+        if not M[c, c]:
+            r = c + int(np.flatnonzero(M[c:, c])[0])
+            M[c] = (M[c] + M[r]) % p
+            undo.append(("add", {"src": r, "dst": c, "scale": p - 1}))
+        if M[c, c] != 1:
+            undo.append(("mul", {"reg": c, "a": int(M[c, c])}))
+            M[c] = M[c] * pow(int(M[c, c]), p - 2, p) % p
+        col = M[:, c] * (np.arange(len(M)) != c)
+        undo += [("add", {"src": c, "dst": int(r), "scale": int(col[r])})
+                 for r in np.flatnonzero(col)]
+        M = (M - np.outer(col, M[c])) % p
+    return undo[::-1]
+
+
+def _run(amp: np.ndarray, N: int, gates: list[tuple[str, dict]]) -> StateVector:
+    for op_kind, params in gates:
+        _apply(amp, N, op_kind, **params)
+    return StateVector(N, amp.ndim, amp)
+
+
+def _layout(parent: ConvCode, T: int):
+    """A and B of a T-block window, the register of each dummy and that of
+    each info symbol: symbol c of either encoding's input sits on its output
+    (c // k) n + S[c % k], S the pivot columns of the delay-0 taps."""
+    k, n = parent.k, parent.n
+    S = np.array(linalg.rref(parent.taps()[0], parent.p)[1], dtype=np.int64)
+    if len(S) < k:
+        raise ValueError("the parent's delay-0 taps are not of full rank")
+    if (n * T) % k:
+        raise ValueError(f"{T} blocks give {n * T} dummies, not a multiple of k={k}")
+    dummy = np.arange(n * T) // k * n + S[np.arange(n * T) % k]
+    return (encoding_matrix(parent, T), encoding_matrix(parent, n * T // k),
+            dummy, dummy[dummy[: k * T]])
+
+
+def _with_columns(size: int, rows, cols, values) -> np.ndarray:
+    """The identity with columns `cols`, all among `rows`, set to `values` on `rows`."""
+    M = np.eye(size, dtype=np.int64)
+    M[np.ix_(rows, cols)] = values
+    return M
+
+
+def encode(parent: ConvCode, info: Sequence[int]) -> StateVector:
+    """Encode k T info qudits into n^2 T / k registers, block i on registers
+    i R .. (i + 1) R - 1, R = n^2 / k. With A and B the two encoding
+    matrices, one in-place pass puts A x on the dummy registers, a Fourier
+    transform on each makes the sum over P of w^((A x).P) |P>, and a second
+    pass maps P to B P."""
+    N, k = parent.p, parent.k
+    x = field_symbols(info, N, "info symbols")
+    if len(x) % k:
+        raise ValueError(f"info length must be a multiple of k={k}")
+    A, B, dummy, regs = _layout(parent, len(x) // k)
+    L = len(B)
+    labels = np.zeros(L, dtype=np.int64)
+    labels[regs] = x
+    gates = _in_place(_with_columns(L, dummy, regs, A), N)
+    gates += [("fourier", {"reg": int(r)}) for r in dummy]
+    gates += _in_place(_with_columns(L, range(L), dummy, B), N)
+    return _run(_basis_amp(N, L, labels), N, gates)
+
+
+def decode_step(parent: ConvCode, state: StateVector) -> tuple[StateVector, StateVector]:
+    """Split block 1 (R = n^2 / k registers, info x1) off an encoded state:
+    returns |x1 on its info registers, 0 elsewhere> and the encoding of the
+    other blocks' info. With k | n, A = [[A11, 0], [A21, A22]] and B =
+    [[B11, 0], [B21, B22]] on block 1's dummies P1 and the tail's P'. One
+    pass leaves P1 on block 1's dummy registers, 0 on its others and B22 P'
+    on the tail; inverse Fourier transforms give |A11 x1>; the inverse of
+    block 1's first pass gives |x1>; and a pair phase per nonzero of u,
+    B22^T u = A21 e_a, removes the coupling w^(x1 . A21^T P')."""
+    N, k, n, L = parent.p, parent.k, parent.n, state.L
+    R = n * n // k
+    if n % k or state.N != N or not L or L % R:
+        raise ValueError(f"decode_step needs k | n (k={k}, n={n}) and a state of whole "
+                         f"blocks of {R} registers over GF({N})")
+    A, B, dummy, regs = _layout(parent, L // R)
+    d1, x1 = dummy[:n], regs[:k]
+    split = _with_columns(L, range(L), d1, B[:, :n])
+    gates = _in_place(linalg.solve(split, np.eye(L, dtype=np.int64), N), N)
+    gates += [("fourier", {"reg": int(r), "inverse": True}) for r in d1]
+    first = _with_columns(R, d1, x1, A[:n, :k])
+    gates += _in_place(linalg.solve(first, np.eye(R, dtype=np.int64), N), N)
+    for a in range(k if L > R else 0):
+        u = linalg.solve_localized(B[R:, n:].T, A[n:, a], N, center=0, halfwidth=R)
+        gates += [("pair-phase", {"reg1": int(x1[a]), "reg2": R + int(s), "c": int(-u[s] % N)})
+                  for s in np.flatnonzero(u)]
+    rows = _run(state.amp.copy(), N, gates).amp.reshape(N**R, -1)
+    weights = np.array([np.vdot(row, row).real for row in rows])
+    top = int(np.argmax(weights))
+    labels = np.unravel_index(top, (N,) * R)
+    if abs(weights[top] - 1.0) > LOGICAL_TOL or any(np.delete(labels, x1)):
+        raise ValueError("malformed input: block 1 is not one basis state of the code")
+    rest = StateVector(N, L - R, rows[top] / np.sqrt(weights[top]))
+    return StateVector.basis(N, R, labels), rest
 
 
 def encode_eq1(info: Sequence[int], N: int, T: int | None = None) -> StateVector:
-    """Encode T info qudits into 4T registers with the explicit two-pass
-    circuit: convolve the info stream ((1+D^2, 1+D+D^2) taps), Fourier the
-    two streams, then convolve the flattened dummy stream the same way.
-
-    Block i occupies registers 4i..4i+3 (0-based).
-    """
-    if T is None:
-        T = len(info)
-    if len(info) != T:
+    """`encode` on the flagship over GF(N): the rate-1/4 circuit derived from
+    its `encoding_matrix`, block i on registers 4i..4i+3, info i on 4i."""
+    if T is not None and len(info) != T:
         raise ValueError("info length must equal T")
-    labels = []
-    for v in info:
-        if not 0 <= v < N:
-            raise ValueError(f"symbol {v} out of range")
-        labels.extend([v, 0, 0, 0])
-    buf = _basis_amp(N, 4 * T, labels)
-
-    def r(i: int, j: int) -> int:  # block i (1-based), slot j in 1..4
-        return 4 * (i - 1) + (j - 1)
-
-    def add(src: int, dst: int) -> None:
-        _apply(buf, N, "add", src=src, dst=dst)
-
-    # first pass: slot3 <- k_i + k_{i-1} + k_{i-2}, then slot1 <- k_i + k_{i-2}
-    for i in range(1, T + 1):
-        for d in (0, 1, 2):
-            if i - d >= 1:
-                add(r(i - d, 1), r(i, 3))
-    for i in range(T, 0, -1):
-        if i - 2 >= 1:
-            add(r(i - 2, 1), r(i, 1))
-    # local Fourier introduces the dummy pair (slot1, slot3) per block
-    for i in range(1, T + 1):
-        _apply(buf, N, "fourier", reg=r(i, 1))
-        _apply(buf, N, "fourier", reg=r(i, 3))
-    # second pass on the flattened dummy stream (slot1, slot3 alternating)
-    for i in range(1, T + 1):
-        add(r(i, 1), r(i, 2))
-        if i >= 2:
-            add(r(i - 1, 1), r(i, 2))
-            add(r(i - 1, 3), r(i, 2))
-        add(r(i, 3), r(i, 4))
-        add(r(i, 1), r(i, 4))
-        if i >= 2:
-            add(r(i - 1, 3), r(i, 4))
-    for i in range(T, 0, -1):
-        if i >= 2:
-            add(r(i - 1, 1), r(i, 1))
-            add(r(i - 1, 3), r(i, 3))
-    return StateVector(N, 4 * T, buf)
+    return encode(flagship(N), info)
 
 
 def decode_step_eq1(state: StateVector, N: int, T: int) -> tuple[StateVector, StateVector]:
-    """Extract the first info qudit from an encoded state.
-
-    Register subtractions disentangle block 1, an inverse Fourier turns the
-    first register into |k_1>, a phase correction strips the residual
-    coupling, and a final Fourier clears the third register. Returns the
-    extracted four-register block and the remainder, which equals the
-    encoding of the remaining T - 1 symbols.
-    """
+    """`decode_step`, derived from `encoding_matrix`, on the flagship over
+    GF(N): the block is |k1, 0, 0, 0>, the rest `encode_eq1` of the others."""
     if state.L != 4 * T or state.N != N:
         raise ValueError("state shape does not match N, T")
-    minus = N - 1
-    buf = state.amp.copy()
-
-    def sub(src: int, dst: int) -> None:
-        _apply(buf, N, "add", src=src, dst=dst, scale=minus)
-
-    sub(0, 1)  # f2 -= f1
-    sub(0, 3)  # f4 -= f1 + f3
-    sub(2, 3)
-    if T >= 2:
-        sub(0, 4)  # f5 -= f1
-        sub(0, 5)  # f6 -= f1 + f3
-        sub(2, 5)
-        sub(2, 6)  # f7 -= f3
-        sub(2, 7)  # f8 -= f3
-    _apply(buf, N, "fourier", reg=0, inverse=True)
-    # residual phase w^(k1 * (q1 + q2 + p3 + q3)): register 3 carries q1 and,
-    # when present, register 12 carries q3 + q2 + p3 (register 7 carries q2
-    # alone when the stream ends at T = 2)
-    _apply(buf, N, "pair-phase", reg1=0, reg2=2, c=minus)
-    if T >= 3:
-        _apply(buf, N, "pair-phase", reg1=0, reg2=11, c=minus)
-    elif T == 2:
-        _apply(buf, N, "pair-phase", reg1=0, reg2=6, c=minus)
-    _apply(buf, N, "fourier", reg=2)
-
-    marg = np.array([np.vdot(row, row).real for row in buf.reshape(N, -1)])
-    k1 = int(np.argmax(marg))
-    if abs(marg[k1] - 1.0) > 1e-9:
-        raise ValueError("malformed input: first register is not deterministic")
-    block = StateVector.basis(N, 4, (k1, 0, 0, 0))
-    rest = buf[(k1, 0, 0, 0)]
-    nrm = _norm(rest)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError("malformed input: block 1 failed to disentangle")
-    remainder = StateVector(N, 4 * (T - 1), rest / nrm)
-    return block, remainder
+    return decode_step(flagship(N), state)
 
 
-def verify_logical(
-    op: PauliWindow,
-    info: Sequence[int],
-    expected_info_delta: Sequence[int],
-    N: int,
-    T: int | None = None,
-) -> bool:
-    """True iff op maps the codeword of `info` to the codeword of
+def verify_logical(op: PauliWindow, info: Sequence[int], expected_info_delta: Sequence[int],
+                   N: int, T: int | None = None) -> bool:
+    """True iff op maps the flagship codeword of `info` to the codeword of
     info + expected_info_delta, up to global phase."""
-    if T is None:
-        T = len(info)
     before = encode_eq1(info, N, T)
-    target_info = [(a + b) % N for a, b in zip(info, expected_info_delta)]
-    target = encode_eq1(target_info, N, T)
+    target = encode_eq1([(a + b) % N for a, b in zip(info, expected_info_delta)], N, T)
     return fidelity(before.apply_pauli(op), target) >= 1 - LOGICAL_TOL

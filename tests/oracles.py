@@ -10,6 +10,31 @@ import itertools
 import numpy as np
 
 
+def eq1_encoder_gates(T):
+    """The flagship encoder's gates as a hand-written rate-1/4 circuit lists
+    them, block i (1-based) on registers 4(i-1) .. 4(i-1) + 3: the first
+    pass on the info stream, a Fourier transform on both dummy registers of
+    each block, and the second pass on the flattened dummy stream. Entries
+    are ("add", src, dst), each adding 1 times src, and ("fourier", reg)."""
+
+    def r(i, j):
+        return 4 * (i - 1) + (j - 1)
+
+    gates = []
+    for i in range(1, T + 1):
+        gates += [("add", r(i - d, 1), r(i, 3)) for d in (0, 1, 2) if i - d >= 1]
+        if i >= 3:
+            gates.append(("add", r(i - 2, 1), r(i, 1)))
+    gates += [("fourier", r(i, j)) for i in range(1, T + 1) for j in (1, 3)]
+    for i in range(1, T + 1):
+        gates += [("add", r(i, 1), r(i, 2)), ("add", r(i, 3), r(i, 4)), ("add", r(i, 1), r(i, 4))]
+        if i >= 2:
+            gates += [("add", r(i - 1, 1), r(i, 2)), ("add", r(i - 1, 3), r(i, 2)),
+                      ("add", r(i - 1, 3), r(i, 4)), ("add", r(i - 1, 1), r(i, 1)),
+                      ("add", r(i - 1, 3), r(i, 3))]
+    return gates
+
+
 def closed_form_state(info, N, T):
     """Direct summation of the rate-1/4 closed form (zero history and tail)."""
 
@@ -174,7 +199,7 @@ def acting_weights_up_to(code, max_weight, interior=None, batch=32):
 
 
 def solve_localized_by_trimming(M, b, p, center, halfwidth):
-    """The reference for `qcc._solve_localized`: widen a column window
+    """The reference for `linalg.solve_localized`: widen a column window
     around `center` until M v = b is consistent on it, then trim the left
     and then the right edge one column at a time while it stays consistent,
     never below one column, with a fresh solve per step."""

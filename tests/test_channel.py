@@ -2,6 +2,8 @@
 Carlo counts against a trial-by-trial reference, and the chunk sampler
 against the per-trial numpy streams."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,20 @@ def test_run_trials_rejects_keys_outside_int64(seed, offset, message):
 def test_sample_error_rejects_keys_outside_int64(trial):
     with pytest.raises(ValueError):
         channel.sample_error(channel.ChannelSpec(0.03, N=2), 8, trial)
+
+
+def test_run_trials_rejects_a_negative_trial_count():
+    code = code_of(FLAGSHIP, 2, 8)
+    with pytest.raises(ValueError, match="trial count must be at least 0, got -5"):
+        channel.run_trials(code, channel.ChannelSpec(0.03, N=2), -5, 0)
+
+
+@pytest.mark.parametrize("seed, trial", [(2**64 - 1, 0), (2**63, 0), (-1, 0), (0, 2**63), (0, -1)],
+                         ids=["seed-2^64-1", "seed-2^63", "negative-seed", "index-2^63",
+                              "negative-index"])
+def test_trial_rng_rejects_keys_outside_int64(seed, trial):
+    # numpy would cast 2^64 - 1 with a RuntimeWarning and key seed 0's stream
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be"):
+            channel.trial_rng(seed, trial)

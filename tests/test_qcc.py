@@ -7,7 +7,8 @@ import pytest
 
 from qcclab import ConvCode, PolyMatrix, QccCode, encode_stream, linalg
 from qcclab.gfpoly import RankDeficientError, catastrophic_check
-from qcclab.qcc import _normalize, _solve_localized, _unit, encoding_matrix
+from qcclab.linalg import solve_localized
+from qcclab.qcc import _normalize, _unit, encoding_matrix
 
 from oracles import solve_localized_by_trimming
 
@@ -130,7 +131,7 @@ def test_solve_localized_matches_trimming_on_random_systems(p):
         v[start:stop] = rng.integers(0, p, stop - start)
         b = M @ v % p
         center, hw = int(rng.integers(0, cols)), int(rng.integers(1, 4))
-        got = _solve_localized(M, b, p, center, hw)
+        got = solve_localized(M, b, p, center, hw)
         assert np.array_equal(got, solve_localized_by_trimming(M, b, p, center, hw))
         assert np.array_equal(M @ got % p, b)
 
@@ -145,7 +146,7 @@ def test_solve_localized_matches_trimming_on_encoding_matrices(p):
             blk = i // parent.k
             for M, b, center, hw in ((B.T, A[:, i], blk * step, step),
                                      (A.T, -_unit(K, i) % p, blk * n, n)):
-                assert np.array_equal(_solve_localized(M, b, p, center, hw),
+                assert np.array_equal(solve_localized(M, b, p, center, hw),
                                       solve_localized_by_trimming(M, b, p, center, hw))
 
 
@@ -153,11 +154,11 @@ def test_solve_localized_of_zero_and_of_an_inconsistent_system():
     M = encoding_matrix(flagship(3), 6).T
     b = np.zeros(M.shape[0], dtype=np.int64)
     for center in (0, 5, M.shape[1] - 1):
-        got = _solve_localized(M, b, 3, center, 2)
+        got = solve_localized(M, b, 3, center, 2)
         assert not got.any()
         assert np.array_equal(got, solve_localized_by_trimming(M, b, 3, center, 2))
     M = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    for solve in (_solve_localized, solve_localized_by_trimming):
+    for solve in (solve_localized, solve_localized_by_trimming):
         with pytest.raises(AssertionError, match="unexpectedly inconsistent"):
             solve(M, [0, 0, 1], 3, 1, 1)
 

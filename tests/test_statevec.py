@@ -1,20 +1,59 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qcclab import statevec
+from qcclab import ConvCode, PolyMatrix, QccCode, linalg, statevec
 from qcclab.pauli import PauliWindow
+from qcclab.qcc import CodewordForm
 from qcclab.statevec import (
     StateVector,
-    apply_elementary,
+    decode_step,
     decode_step_eq1,
+    encode,
     encode_eq1,
     fidelity,
+    flagship,
     verify_logical,
 )
 
-from oracles import closed_form_state
+from oracles import closed_form_state, eq1_encoder_gates
+
+
+def _parent(p, taps):
+    return ConvCode(PolyMatrix.from_coeffs(taps, p))
+
+
+# a rate-2/4 parent with 8 registers per block, delay-0 pivot block
+# [[1, 1], [0, 1]]
+WIDE = [[[1, 1], [1], [0, 1], [1, 1]], [[0, 1], [1, 1], [1], [1]]]
+# rate-2/4 parents with delay-0 pivot blocks [[0, 1], [1, 1]] over GF(2) and
+# [[0, 2], [2, 2]] over GF(3): a zero pivot, and pivots other than 1
+PIVOTED = {2: [[[0, 1], [1, 0], [0, 1], [1, 0]], [[1, 0], [1, 0], [0, 1], [1, 1]]],
+           3: [[[0, 1], [2, 0], [0, 1], [1, 0]], [[2, 1], [2, 1], [2, 2], [1, 1]]]}
+# (parent, T): windows whose codeword form and state are cheap. In each, the
+# delay-0 pivots are the first k columns, so block 1's info sits on
+# registers 0..k-1
+SYNTH = {
+    "flagship-p2": (lambda: flagship(2), 3),
+    "flagship-p3": (lambda: flagship(3), 3),
+    "rate-1/3-p2": (lambda: _parent(2, [[[1, 1], [1, 0, 1], [1, 1, 1]]]), 2),
+    "1+D,1+D^2-p3": (lambda: _parent(3, [[[1, 1], [1, 0, 1]]]), 3),
+    "rate-2/4-p2": (lambda: _parent(2, WIDE), 2),
+    "rate-2/4-pivoted-p2": (lambda: _parent(2, PIVOTED[2]), 2),
+    "rate-2/4-pivoted-p3": (lambda: _parent(3, PIVOTED[3]), 1),
+}
+# the cases whose T-block window `QccCode` accepts: two with k=2, two over GF(3)
+WINDOWED = ["flagship-p3", "1+D,1+D^2-p3", "rate-2/4-p2", "rate-2/4-pivoted-p2"]
+
+
+def _infos(parent, T, count):
+    """The zero word and count - 1 random info words of a T-block window."""
+    rng = np.random.default_rng([parent.p, parent.k, parent.n, T])
+    K = parent.k * T
+    return [(0,) * K] + [tuple(int(v) for v in rng.integers(0, parent.p, K))
+                         for _ in range(count - 1)]
 
 
 class TestElementaryOps:
@@ -68,10 +107,12 @@ class TestElementaryOps:
 
     def test_dispatcher(self):
         s = StateVector.basis(2, 1, [0])
-        out = apply_elementary(s, "add-const", reg=0, a=1)
+        out = s._gate("add-const", reg=0, a=1)
         assert abs(out.amp[1]) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            apply_elementary(s, "no-such-op")
+        with pytest.raises(ValueError, match="unknown elementary operation"):
+            s._gate("no-such-op")
+        with pytest.raises(ValueError, match="unknown elementary operation"):
+            statevec._run(s.amp.copy(), 2, [("add-const", {"reg": 0, "a": 1}), ("no-such-op", {})])
 
     def test_register_bounds_checked(self):
         s = StateVector.basis(2, 2, [0, 0])
@@ -153,7 +194,7 @@ class TestKernelContract:
         for kind, params in _gate_cases(N, L):
             want = _dense_gate(N, L, kind, params) @ before.ravel()
             method = getattr(s, kind.replace("-", "_"))
-            for out in (apply_elementary(s, kind, **params), method(**params)):
+            for out in (s._gate(kind, **params), method(**params)):
                 assert np.allclose(out.amp.ravel(), want, atol=1e-12), (kind, params)
                 assert out.amp.flags.c_contiguous, (kind, params)
                 assert np.array_equal(s.amp, before), (kind, params)
@@ -165,13 +206,17 @@ class TestKernelContract:
         [
             ("add", lambda s: encode_eq1((1, 0, 1), 2, 3)),
             ("fourier", lambda s: encode_eq1((1, 0, 1), 2, 3)),
-            ("pair-phase", lambda s: decode_step_eq1(s, 2, 3)),
+            ("pair-phase",
+             lambda s: decode_step(_parent(2, WIDE), encode(_parent(2, WIDE), (1, 0, 1, 1)))),
+            ("mul", lambda s: encode(_parent(3, PIVOTED[3]), (1, 2))),
             ("local-phase", lambda s: s.apply_pauli(PauliWindow.from_string("IZIZIIIIIIII"))),
             ("add-const", lambda s: s.apply_pauli(PauliWindow.from_string("IXIXIIIIIIII"))),
         ],
     )
     def test_norm_checked_after_every_gate_in_circuits(self, monkeypatch, kind, circuit):
         # each circuit runs the gate at least twice; the first call must fail
+        # (the k=2 decode step runs three pair phases, the GF(3) encoder three
+        # multiplications)
         state = encode_eq1((1, 0, 1), 2, 3)
         calls = []
 
@@ -250,6 +295,11 @@ class TestDecodeStep:
         raw /= np.linalg.norm(raw.ravel())
         with pytest.raises(ValueError):
             decode_step_eq1(StateVector(2, 8, raw), 2, 2)
+        # X on register 1 of a codeword leaves block 1 in |k1, 1, 0, 0>, a
+        # basis state that no codeword's block 1 decodes to
+        state = encode_eq1((1, 0), 2, 2).apply_pauli(PauliWindow.from_string("IXIIIIII"))
+        with pytest.raises(ValueError, match="malformed input"):
+            decode_step_eq1(state, 2, 2)
 
 
 class TestVerifyLogical:
@@ -275,3 +325,115 @@ class TestVerifyLogical:
         expect = StateVector(2, 12, (plus.amp - minus.amp) / np.sqrt(2))
         assert fidelity(out, expect) >= 1 - 1e-9
         assert fidelity(out, sup) <= 1e-9
+
+
+def _gate_action(gates, v, p):
+    """The register vector after a list of `add` and `mul` gates, by their
+    definitions on basis labels."""
+    v = list(v)
+    for kind, params in gates:
+        if kind == "add":
+            v[params["dst"]] = (v[params["dst"]] + params["scale"] * v[params["src"]]) % p
+        else:
+            assert kind == "mul"
+            v[params["reg"]] = params["a"] * v[params["reg"]] % p
+    return v
+
+
+class TestSynthesizedCircuits:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_in_place_gates_map_v_to_M_v(self, p):
+        rng = np.random.default_rng(p)
+        kinds = set()
+        for size in (1, 2, 5, 8):
+            for _ in range(10):
+                M = rng.integers(0, p, (size, size))
+                if len(linalg.rref(M, p)[1]) < size:
+                    continue
+                gates = statevec._in_place(M, p)
+                kinds |= {kind for kind, _ in gates}
+                for v in rng.integers(0, p, (4, size)):
+                    assert _gate_action(gates, v, p) == (M @ v % p).tolist()
+        assert kinds == ({"add"} if p == 2 else {"add", "mul"})
+
+    def test_unit_lower_triangular_costs_one_add_per_entry(self):
+        M = np.eye(6, dtype=np.int64)
+        M[[2, 3, 5, 5], [0, 1, 1, 4]] = [1, 2, 1, 2]
+        gates = statevec._in_place(M, 3)
+        assert [kind for kind, _ in gates] == ["add"] * 4
+
+    @pytest.mark.parametrize("name", sorted(SYNTH))
+    def test_encode_matches_codeword_form(self, name):
+        make, T = SYNTH[name]
+        parent = make()
+        form = CodewordForm(parent)
+        for info in _infos(parent, T, 4):
+            state = encode(parent, info)
+            direct = form.amplitudes(info, T)
+            assert abs(np.vdot(state.amp.ravel(), direct.ravel())) ** 2 >= 1 - 1e-9, info
+
+    @pytest.mark.parametrize("name", WINDOWED)
+    def test_generators_fix_codewords_and_spin_flips_add_unit_vectors(self, name):
+        make, T = SYNTH[name]
+        parent = make()
+        stab = QccCode(parent, T).stabilizer
+        p = parent.p
+        for info in _infos(parent, T, 2):
+            state = encode(parent, info)
+            for g, gen in enumerate(stab.generators):
+                assert fidelity(state.apply_pauli(gen), state) >= 1 - 1e-9, (info, g)
+            for i, lx in enumerate(stab.logical_x):
+                moved = list(info)
+                moved[i] = (moved[i] + 1) % p
+                target = encode(parent, moved)
+                assert fidelity(state.apply_pauli(lx), target) >= 1 - 1e-9, (info, i)
+
+    @pytest.mark.parametrize("name", sorted(SYNTH))
+    def test_decode_step_splits_off_block_one(self, name):
+        make, T = SYNTH[name]
+        parent = make()
+        k, R = parent.k, parent.n**2 // parent.k
+        for info in _infos(parent, T, 3):
+            block, rest = decode_step(parent, encode(parent, info))
+            want = StateVector.basis(parent.p, R, info[:k] + (0,) * (R - k))
+            assert fidelity(block, want) == pytest.approx(1.0), info
+            assert rest.L == R * (T - 1)
+            if T > 1:
+                assert fidelity(rest, encode(parent, info[k:])) >= 1 - 1e-9, info
+
+    def test_decode_step_needs_k_to_divide_n_and_whole_blocks(self):
+        odd = ConvCode.from_json(
+            {"p": 2, "k": 2, "n": 3, "G": [[[1, 1], [1, 0], [1, 0]], [[1], [0, 1], [1, 0]]]})
+        with pytest.raises(ValueError, match="k \\| n \\(k=2, n=3\\)"):
+            decode_step(odd, encode(odd, (1, 0, 1, 1)))
+        with pytest.raises(ValueError, match="whole blocks of 4 registers over GF\\(2\\)"):
+            decode_step(flagship(2), StateVector.basis(2, 6, [0] * 6))
+        with pytest.raises(ValueError, match="whole blocks"):
+            decode_step(flagship(3), encode(flagship(2), (1, 0)))
+
+    def test_encode_rejects_bad_info(self):
+        with pytest.raises(ValueError, match="multiple of k=2"):
+            encode(_parent(2, WIDE), (1, 0, 1))
+        with pytest.raises(ValueError, match="GF\\(3\\)"):
+            encode(flagship(3), (0, 3))
+        # (D, D + D^2) has zero delay-0 taps, so no register can carry its info
+        with pytest.raises(ValueError, match="delay-0 taps are not of full rank"):
+            encode(_parent(2, [[[0, 1], [0, 1, 1]]]), (1, 0))
+
+    def test_flagship_runs_the_hand_written_gates(self, monkeypatch):
+        ran = []
+        apply = statevec._apply
+
+        def spy(amp, N, op_kind, **params):
+            ran.append((op_kind, params))
+            apply(amp, N, op_kind, **params)
+
+        monkeypatch.setattr(statevec, "_apply", spy)
+        state = encode_eq1((1, 0, 1, 1, 0), 2, 5)
+        assert all(params.get("scale", 1) == 1 for _, params in ran)
+        got = [(kind, *(v for key, v in params.items() if key != "scale")) for kind, params in ran]
+        assert Counter(got) == Counter(eq1_encoder_gates(5))
+        assert Counter(gate[0] for gate in got) == {"add": 50, "fourier": 10}
+        ran.clear()
+        decode_step_eq1(state, 2, 5)
+        assert Counter(kind for kind, _ in ran) == {"add": 9, "fourier": 2, "pair-phase": 1}
