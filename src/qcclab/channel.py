@@ -381,10 +381,13 @@ def run_trials(
     for start in range(0, trials, CHUNK):
         count = min(CHUNK, trials - start)
         ex, ez = _sample_chunk(spec, L, seed, trial_offset + start, count)
-        syn = (ex @ gz.T - ez @ gx.T) % p
-        # most trials share a handful of syndromes; decode each once
-        uniq, inverse = np.unique(syn, axis=0, return_inverse=True)
-        ux, uz, _ = batch_decode(trellis, uniq, chunk=CHUNK)
+        syn = ((ex @ gz.T - ez @ gx.T) % p).astype(np.min_scalar_type(p - 1))
+        # most trials share a handful of syndromes; decode each once, found
+        # by the bytes of its row (rows decode independently, so the order
+        # in which they come does not matter)
+        row_bytes = syn.view(np.dtype((np.void, syn.itemsize * syn.shape[1]))).ravel()
+        _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
+        ux, uz, _ = batch_decode(trellis, syn[first], chunk=CHUNK)
         cx, cz = ux[inverse], uz[inverse]
         rx, rz = (ex - cx) % p, (ez - cz) % p
         # action of the residual on payload logicals, pairwise (Z then X row)

@@ -189,7 +189,17 @@ class DecodePath:
 # step key packs its branch cost and its branch label as cost * S * B + label,
 # where S counts the states before the section and B its labels. Adding the
 # previous survivor's (metric * S + rank) * B gives the candidate's key
-# ((metric + cost) * S + rank) * B + label, and the least key wins.
+# ((metric + cost) * S + rank) * B + label, and the least key wins. One
+# gather forms the keys of a section, and F - 1 elementwise minimums over
+# the slices [:, :, j] compare them.
+#
+# The winner is read back from its key. Ranks are distinct at every
+# boundary, and a previous state and a label fix a candidate, so no two
+# keys of a row are equal. So divmod of the least key by S * B gives the
+# metric and rank * B + label, which orders the survivors of the new
+# boundary; its divmod by B gives the previous state's rank and the label.
+# The traceback maps a rank to its state through that boundary's argsort,
+# the same one that gives the new ranks by a scatter.
 
 
 def group_candidates(key: np.ndarray, n_groups: int) -> np.ndarray:
@@ -222,9 +232,13 @@ def viterbi(sections, start: np.ndarray, inf: int, settled=None):
 
     Each row keeps, for every state, its survivor's metric and the
     survivor's rank in lexicographic order among the survivors at the same
-    boundary. The candidate of least (metric, rank of its previous state,
-    label) wins, so every survivor, and the result, is the path of minimum
-    cost and, among those, of lexicographically smallest labels.
+    boundary; the start states rank by index. The candidate of least
+    (metric, rank of its previous state, label) wins, so every survivor,
+    and the result, is the path of minimum cost and, among those, of
+    lexicographically smallest labels. No two candidates of a row may share
+    both their previous state and their label, as in any trellis, where the
+    two fix the next state: then the ranks stay distinct, and the winner,
+    its previous state and its label all follow from its key.
 
     With settled=None, one traceback from each row's best final survivor
     gives the labels. Otherwise `settled` holds, for every section, how
@@ -236,28 +250,39 @@ def viterbi(sections, start: np.ndarray, inf: int, settled=None):
     final state.
     """
     metric = np.asarray(start, dtype=np.int64)
-    rank = np.zeros_like(metric)
-    rows = np.arange(len(metric))[:, None, None]
-    winners: list[tuple[np.ndarray, np.ndarray]] = []
-    labels = np.zeros((len(metric), 0), dtype=np.int64)
+    n_rows, n_states = metric.shape
+    # start states rank by index, so that every boundary's ranks are distinct
+    order = np.broadcast_to(np.arange(n_states), metric.shape)
+    rank = order
+    offsets = np.arange(n_rows)[:, None] * n_states
+    winners: list[tuple[np.ndarray, np.ndarray, int]] = []
+    labels = np.zeros((n_rows, 0), dtype=np.int64)
     for t, (src, step, n_labels) in enumerate(sections):
-        n_states = metric.shape[1]
         span = n_states * n_labels
-        base = ((metric * n_states + rank) * n_labels).astype(step.dtype)
-        key = base[rows, src] + step
-        j = key.argmin(axis=2)[:, :, None]
-        best = np.take_along_axis(key, j, axis=2)[:, :, 0]
-        prev = np.take_along_axis(np.broadcast_to(src, key.shape), j, axis=2)[:, :, 0]
-        winners.append((prev, best % n_labels))
-        metric = np.minimum(best // span, inf).astype(np.int64)
-        rank = (best % span).argsort(axis=1).argsort(axis=1)
+        base = metric.astype(step.dtype) * n_states
+        base += rank
+        base *= n_labels
+        key = np.take(base, src + offsets[:, :, None])
+        key += step
+        best = key[:, :, 0].copy()
+        for f in range(1, key.shape[2]):
+            np.minimum(best, key[:, :, f], out=best)
+        metric, within = np.divmod(best, span)
+        np.minimum(metric, inf, out=metric)
+        winners.append((order, within, n_labels))
+        order = within.argsort(axis=1)
+        n_states = order.shape[1]
+        offsets = np.arange(n_rows)[:, None] * n_states
+        rank = np.empty(order.shape, dtype=step.dtype)
+        rank.ravel()[order + offsets] = np.arange(n_states)
+        order = order.astype(np.min_scalar_type(n_states - 1))
         done = labels.shape[1]
         if settled is not None and settled[t] > done:
             pending = _traceback(winners[done:], _best_state(metric, rank))
             labels = np.hstack([labels, pending[:, : settled[t] - done]])
     end = _best_state(metric, rank)
     labels = np.hstack([labels, _traceback(winners[labels.shape[1] :], end)])
-    return labels, metric[np.arange(len(metric)), end], end
+    return labels, metric[np.arange(n_rows), end].astype(np.int64), end
 
 
 def _best_state(metric: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -270,9 +295,9 @@ def _traceback(winners, state: np.ndarray) -> np.ndarray:
     rows = np.arange(len(state))
     out = np.empty((len(state), len(winners)), dtype=np.int64)
     for t in range(len(winners) - 1, -1, -1):
-        prev, label = winners[t]
-        out[:, t] = label[rows, state]
-        state = prev[rows, state]
+        order, within, n_labels = winners[t]
+        prev_rank, out[:, t] = np.divmod(within[rows, state], n_labels)
+        state = order[rows, prev_rank]
     return out
 
 

@@ -121,6 +121,13 @@ def _last_needed(C: np.ndarray, b: np.ndarray, p: int) -> int | None:
     return max((c for c, coeff in zip(pivots, R[:, -1]) if coeff), default=-1)
 
 
+def _live_rows(C: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of C x = b that may constrain x, those nonzero in C or in
+    b; the others are 0 = 0 and leave every reduced form as it is."""
+    live = C.any(axis=1) | (b != 0)
+    return C[live], b[live]
+
+
 def solve_localized(M, b, p: int, center: int, halfwidth: int) -> np.ndarray:
     """Solution of M v = b supported on a narrow contiguous column window.
 
@@ -131,14 +138,17 @@ def solve_localized(M, b, p: int, center: int, halfwidth: int) -> np.ndarray:
     over the window's columns in reverse order both tests consistency and
     places the left edge (`_last_needed`). The right edge needs no trim:
     the reduced-form solution already vanishes past the last column that b
-    needs, so trimming there would not change it. The result is a compact,
-    deterministic representative of the solution coset."""
+    needs, so trimming there would not change it. Each elimination sees
+    only the rows that are nonzero in the window or in b, few when M is
+    banded. The result is a compact, deterministic representative of the
+    solution coset."""
     M = np.asarray(M, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     cols = M.shape[1]
     hw = halfwidth
     while True:
         lo, hi = max(0, center - hw), min(cols, center + hw)
-        last = _last_needed(M[:, lo:hi][:, ::-1], b, p)
+        last = _last_needed(*_live_rows(M[:, lo:hi][:, ::-1], b), p)
         if last is not None:
             break
         if lo == 0 and hi == cols:
@@ -146,5 +156,5 @@ def solve_localized(M, b, p: int, center: int, halfwidth: int) -> np.ndarray:
         hw *= 2
     lo = hi - 1 - max(last, 0)
     out = np.zeros(cols, dtype=np.int64)
-    out[lo:hi] = solve(M[:, lo:hi], b, p)
+    out[lo:hi] = solve(*_live_rows(M[:, lo:hi], b), p)
     return out

@@ -29,6 +29,10 @@ from .pauli import PauliWindow, StabilizerWindow
 from .qcc import QccCode
 
 DEFAULT_STATE_CAP = 1 << 24
+# `batch_decode` decodes at most this many candidates at once, rows times
+# the candidates of the widest section, so that one section's keys, step
+# keys and gather indices take under 40 MB
+BATCH_CANDIDATES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -300,7 +304,9 @@ def qva_decode(trellis: ErrorTrellis, syn: Sequence[int]) -> RecoveryPath:
 def batch_decode(
     trellis: ErrorTrellis, syndromes: np.ndarray, chunk: int = 2048
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decoding of many syndromes at once, `chunk` rows at a time.
+    """Vectorized decoding of many syndromes at once, `chunk` rows at a
+    time, or fewer where rows times the candidates of the widest section
+    would exceed BATCH_CANDIDATES.
 
     Returns (x, z, cost) arrays of shapes (M, L), (M, L), (M,); each row is
     the correction qva_decode returns for that syndrome.
@@ -310,6 +316,9 @@ def batch_decode(
     xs = np.zeros((M, trellis.L), dtype=np.int64)
     zs = np.zeros((M, trellis.L), dtype=np.int64)
     costs = np.zeros(M, dtype=np.int64)
+    # a row's candidates in a section are its next states times their fan-in
+    widest = max(tab["src"][0].size for tab in trellis._sections)
+    chunk = max(1, min(chunk, BATCH_CANDIDATES // widest))
     for start in range(0, M, chunk):
         sl = slice(start, min(M, start + chunk))
         labels, costs[sl] = _decode(trellis, syndromes[sl])

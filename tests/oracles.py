@@ -321,3 +321,47 @@ def section_tables_by_sorting(trellis, lo, hi):
     shape = (p ** len(closing), p ** len(open_next), -1)
     step = step_keys(wt[label], label, S_prev, n_branch, trellis.L + 1)
     return src.reshape(shape), label.reshape(shape), step.reshape(shape)
+
+
+def viterbi_by_argmin(sections, start, inf, settled=None):
+    """The reference for `convcode.viterbi`, with its arguments and
+    results: every candidate's key ((metric + cost) * S + rank) * B + label
+    in full, the least key of each next state found by `argmin` and the
+    winner's previous state and label read from the candidate tables at
+    that position, and each boundary's ranks as the double argsort of the
+    winners' (rank, label). Start states rank by index."""
+    metric = np.asarray(start, dtype=np.int64)
+    rank = np.broadcast_to(np.arange(metric.shape[1]), metric.shape)
+    rows = np.arange(len(metric))
+
+    def best_state():
+        return np.argmin(metric * metric.shape[1] + rank, axis=1)
+
+    def traceback(winners, state):
+        out = np.empty((len(state), len(winners)), dtype=np.int64)
+        for t in range(len(winners) - 1, -1, -1):
+            prev, label = winners[t]
+            out[:, t] = label[rows, state]
+            state = prev[rows, state]
+        return out
+
+    winners = []
+    labels = np.zeros((len(metric), 0), dtype=np.int64)
+    for t, (src, step, n_labels) in enumerate(sections):
+        n_states = metric.shape[1]
+        span = n_states * n_labels
+        base = (metric * n_states + rank) * n_labels
+        key = base[rows[:, None, None], src] + step
+        j = key.argmin(axis=2)[:, :, None]
+        best = np.take_along_axis(key, j, axis=2)[:, :, 0]
+        prev = np.take_along_axis(np.broadcast_to(src, key.shape), j, axis=2)[:, :, 0]
+        winners.append((prev, best % n_labels))
+        metric = np.minimum(best // span, inf)
+        rank = (best % span).argsort(axis=1).argsort(axis=1)
+        done = labels.shape[1]
+        if settled is not None and settled[t] > done:
+            pending = traceback(winners[done:], best_state())
+            labels = np.hstack([labels, pending[:, : settled[t] - done]])
+    end = best_state()
+    labels = np.hstack([labels, traceback(winners[labels.shape[1]:], end)])
+    return labels, metric[rows, end], end

@@ -125,6 +125,31 @@ def test_run_trials_counts_match_trial_by_trial_reference(taps, p, window, p_err
     assert sum(r.info_symbol_errors for r in reports) > 0
 
 
+@pytest.mark.parametrize("taps, p, window", [
+    (FLAGSHIP, 2, 8),
+    (FLAGSHIP, 3, 8),
+    (ONE_PLUS_D, 5, 8),
+], ids=["flagship-p2-W8", "flagship-p3-W8", "1+D-p5-W8"])
+def test_each_distinct_syndrome_decodes_once_across_chunks(monkeypatch, taps, p, window):
+    # 40 trials in chunks of 16, 16 and 8
+    monkeypatch.setattr(channel, "CHUNK", 16)
+    decoded = []
+    original = channel.batch_decode
+
+    def spy(trellis, syndromes, chunk):
+        decoded.append(len(syndromes))
+        return original(trellis, syndromes, chunk)
+
+    monkeypatch.setattr(channel, "batch_decode", spy)
+    code = code_of(taps, p, window)
+    spec = channel.ChannelSpec(0.1, N=p)
+    report = channel.run_trials(code, spec, 40, seed=5)
+    assert report == trials_by_reference(code, spec, 40, 5)
+    assert report.info_symbol_errors > 0
+    # repeated syndromes were decoded once per chunk
+    assert len(decoded) == 3 and sum(decoded) < 40
+
+
 @pytest.mark.parametrize("model", list(channel.ChannelModel), ids=lambda m: m.value)
 @pytest.mark.parametrize("N", [2, 3, 5, 7])
 @pytest.mark.parametrize("L", [7, 8, 41])

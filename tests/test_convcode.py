@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qcclab import ConvCode, PolyMatrix, build_trellis, encode_stream, viterbi_decode
-from qcclab.convcode import StateCapError
+from qcclab.convcode import StateCapError, group_candidates, step_keys, viterbi
+
+from oracles import viterbi_by_argmin
 
 
 def brute_force_decode(code, received):
@@ -157,3 +159,56 @@ class TestViterbi:
         exact = viterbi_decode(tr, word, terminated=False)
         stream = viterbi_decode(tr, word, traceback=15, terminated=False)
         assert stream.info == exact.info
+
+
+def random_sections(rng, p, n_rows, n_start, case):
+    """Random grouped sections after `n_start` states: each has a fan-in F
+    from 1 to 16 (the first section's is case % 16 + 1), B labels with
+    S * B a multiple of F, and a random map of its (state, branch) pairs
+    onto next states that gives every next state F of them. Costs are 0 or
+    1, all 0 in every fourth case so that every comparison is a metric
+    tie, and a tenth of the candidates are unreachable. n_rows=1 gives
+    broadcast sections, one row for every decoded word, as
+    `viterbi_decode` passes them."""
+    S = n_start
+    ties = case % 4 == 0
+    # above a start metric of at most 2 plus at most 4 sections of cost 1
+    inf = 7
+    sections = []
+    for t in range(int(rng.integers(1, 5))):
+        F = case % 16 + 1 if t == 0 else int(rng.integers(1, 17))
+        # at most p-fold growth, and none past 60 states
+        grow = 1 if S > 60 else int(rng.integers(1, p + 1))
+        B = F // int(np.gcd(S, F)) * grow
+        V = S * B // F
+        src, branch = np.divmod(group_candidates(rng.permutation(S * B) % V, V), B)
+        label = rng.permutation(B)[branch]
+        cost = np.zeros((n_rows, V, F), dtype=np.int64)
+        if not ties:
+            cost = rng.integers(0, 2, (n_rows, V, F))
+        cost[rng.random(cost.shape) < 0.1] = inf
+        src = np.broadcast_to(src, (n_rows, V, F)).astype(np.min_scalar_type(S - 1))
+        sections.append((src, step_keys(cost, label, S, B, inf), B))
+        S = V
+    return sections, inf
+
+
+@pytest.mark.parametrize("broadcast", [False, True], ids=["batched", "broadcast"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_viterbi_equals_the_argmin_kernel(p, broadcast):
+    rng = np.random.default_rng(p)
+    for case in range(48):
+        n_start = 1 if case % 3 == 0 else int(rng.integers(2, 7))
+        n_rows = int(rng.integers(1, 5)) if broadcast else int(rng.integers(2, 6))
+        sections, inf = random_sections(rng, p, 1 if broadcast else n_rows, n_start, case)
+        start = rng.integers(0, 3, (n_rows, n_start))
+        start[rng.random(start.shape) < 0.2] = inf
+        settled = None
+        if case % 2:
+            # a non-decreasing count of committed labels, at most t + 1
+            n = len(sections)
+            settled = np.minimum(np.maximum.accumulate(rng.integers(0, n + 1, n)), np.arange(1, n + 1))
+        got = viterbi(sections, start, inf, settled)
+        want = viterbi_by_argmin(sections, start, inf, settled)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), (case, a, b)

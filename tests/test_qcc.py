@@ -137,6 +137,28 @@ def test_solve_localized_matches_trimming_on_random_systems(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_localized_matches_trimming_on_random_banded_systems(p):
+    # row r is nonzero only on a band of columns that moves right with r, as
+    # in an encoding matrix, so most rows are zero in a narrow window
+    rng = np.random.default_rng([p, 1])
+    for _ in range(60):
+        rows, cols = (int(v) for v in rng.integers(6, 30, 2))
+        width = int(rng.integers(1, 5))
+        first = np.sort(rng.integers(0, cols, rows))
+        band = (np.arange(cols) >= first[:, None]) & (np.arange(cols) < first[:, None] + width)
+        M = rng.integers(0, p, (rows, cols)) * band
+        v = np.zeros(cols, dtype=np.int64)
+        start = int(rng.integers(0, cols))
+        stop = min(cols, start + int(rng.integers(1, 4)))
+        v[start:stop] = rng.integers(0, p, stop - start)
+        b = M @ v % p
+        center, hw = int(rng.integers(0, cols)), int(rng.integers(1, 4))
+        got = solve_localized(M, b, p, center, hw)
+        assert np.array_equal(got, solve_localized_by_trimming(M, b, p, center, hw))
+        assert np.array_equal(M @ got % p, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_solve_localized_matches_trimming_on_encoding_matrices(p):
     for parent, blocks in ((flagship(p), 8), (random_parent(p, 2, 4, 1, 0), 4)):
         A = encoding_matrix(parent, blocks)

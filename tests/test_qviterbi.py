@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcclab import ConvCode, PolyMatrix, QccCode, build_trellis
+from qcclab import ConvCode, PolyMatrix, QccCode, build_trellis, qviterbi
 from qcclab.channel import ChannelModel, ChannelSpec, sample_error
 from qcclab.convcode import StateCapError
 from qcclab.pauli import PauliWindow
@@ -330,3 +330,27 @@ def test_batch_decoding_over_wider_fields(name):
         correction = PauliWindow(xs[row], zs[row], p)
         assert np.array_equal(code.stabilizer.syndrome(correction), syn)
         assert costs[row] == rec.cost == correction.weight() <= error.weight()
+
+
+def test_batch_chunks_are_capped_by_candidate_count(monkeypatch):
+    code = QccCode(ConvCode(PolyMatrix.from_coeffs(FLAGSHIP, 3)), 8)
+    trellis = build_error_trellis(code)
+    syns = sampled_syndromes(code, 11, p_err=0.1, seed=14)
+    default = batch_decode(trellis, syns)
+    for chunk in (1, 3):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(batch_decode(trellis, syns, chunk=chunk), default))
+    # a cap of two rows of the widest section splits the default chunk
+    widest = max(tab["src"][0].size for tab in trellis._sections)
+    monkeypatch.setattr(qviterbi, "BATCH_CANDIDATES", 2 * widest + 1)
+    rows = []
+    original = qviterbi._decode
+
+    def spy(trellis, syndromes, settled=None):
+        rows.append(len(syndromes))
+        return original(trellis, syndromes, settled)
+
+    monkeypatch.setattr(qviterbi, "_decode", spy)
+    capped = batch_decode(trellis, syns)
+    assert rows == [2, 2, 2, 2, 2, 1]
+    assert all(np.array_equal(a, b) for a, b in zip(capped, default))
