@@ -8,10 +8,19 @@ kernel validates its parameters before it writes, reshapes the array into
 views with the registers it acts on as separate axes, and writes back into
 the same buffer, so the layout stays contiguous.
 
+The constant-addition and local-phase kernels also take a whole label:
+equal-length sequences of distinct registers and their shifts or phase
+multipliers. They view the amplitudes as an (N^h, N^(L-h)) matrix, h = L // 2,
+with registers 0..h-1 indexing the rows. X^x is then at most two gathers, one
+per axis, and Z^z at most two broadcast multiplies by per-half phase vectors,
+each built in O(N^h) steps from the half of x or z it serves.
+
 `StateVector` is immutable: its gate methods copy the amplitudes once, run
 one kernel on the copy and return a new state. The circuits (`apply_pauli`,
 `encode`, `decode_step`) run all their gates on one working buffer, with
-the norm checked after every gate, and build one `StateVector` at the end.
+the norm checked after every kernel call, and build one `StateVector` at the
+end; a Pauli operator is two kernel calls, one local phase over the support
+of z and one constant addition over the support of x.
 `encode` and `decode_step` derive their gate lists for any parent from the
 encoding matrices of `qcc.encoding_matrix`; `encode_eq1` and
 `decode_step_eq1` are their instance on the paper's flagship parent.
@@ -58,8 +67,12 @@ def _check_norm(amp: np.ndarray) -> None:
 
 def _basis_amp(N: int, L: int, labels: Sequence[int]) -> np.ndarray:
     _check_dims(N, L)
+    labels = field_symbols(labels, N, "basis labels")
+    if labels.shape != (L,):
+        raise ValueError(f"a basis state of {L} registers needs {L} labels, "
+                         f"got shape {labels.shape}")
     amp = np.zeros((N,) * L, dtype=np.complex128)
-    amp[tuple(int(v) % N for v in labels)] = 1.0
+    amp[tuple(labels)] = 1.0
     return amp
 
 
@@ -73,10 +86,67 @@ def _omega(N: int) -> complex:
 # overwrites it with the gate's output; reshaping such an array gives views.
 
 
+def _integers(value, what: str) -> np.ndarray:
+    """`value` as an int64 array, or TypeError naming `what` unless it holds
+    integers only."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biu" and arr.size:
+        raise TypeError(f"{what} must be integers, got {value!r}")
+    return arr.astype(np.int64)
+
+
+def _integer(value, what: str) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_reg(amp: np.ndarray, *regs: int) -> None:
     for r in regs:
+        r = _integer(r, "register")
         if not 0 <= r < amp.ndim:
             raise IndexError(f"register {r} out of range for L={amp.ndim}")
+
+
+def _label(amp: np.ndarray, N: int, reg: int | Sequence[int],
+           a: int | Sequence[int]) -> np.ndarray:
+    """The length-L vector holding a on register reg, or a[i] on register
+    reg[i] for equal-length sequences of distinct registers, mod N."""
+    regs, values = _integers(reg, "registers"), _integers(a, "a")
+    if regs.ndim > 1 or regs.shape != values.shape:
+        raise ValueError(f"registers {reg!r} and values {a!r} must be two integers "
+                         "or two equal-length sequences")
+    regs, values = regs.ravel(), values.ravel()
+    _check_reg(amp, *regs)
+    if len(set(regs.tolist())) < len(regs):
+        raise ValueError(f"registers {reg!r} must be distinct")
+    out = np.zeros(amp.ndim, dtype=np.int64)
+    out[regs] = values % N
+    return out
+
+
+def _halves(amp: np.ndarray, N: int) -> tuple[np.ndarray, int]:
+    """View of shape (N^h, N^(L-h)), h = L // 2, and h: registers 0..h-1
+    index the rows, registers h..L-1 the columns."""
+    h = amp.ndim // 2
+    return amp.reshape(N**h, -1), h
+
+
+def _shifted_index(N: int, x: np.ndarray) -> np.ndarray:
+    """i[u] = the C-order index of the labels u - x mod N, for every label u
+    of len(x) registers in C order."""
+    index = np.zeros(1, dtype=np.intp)
+    for s in x:
+        index = (index[:, None] * N + (np.arange(N) - s) % N).ravel()
+    return index
+
+
+def _dot_exponent(N: int, z: np.ndarray) -> np.ndarray:
+    """e[u] = z . u mod N, for every label u of len(z) registers in C order."""
+    e = np.zeros(1, dtype=np.int64)
+    for s in z:
+        e = ((e[:, None] + s * np.arange(N)) % N).ravel()
+    return e
 
 
 def _split1(amp: np.ndarray, N: int, reg: int) -> np.ndarray:
@@ -90,17 +160,29 @@ def _split2(amp: np.ndarray, N: int, lo: int, hi: int) -> np.ndarray:
     return amp.reshape(N**lo, N, N ** (hi - lo - 1), N, -1)
 
 
-def _add_const(amp: np.ndarray, N: int, reg: int, a: int) -> None:
-    """|x> -> |x + a> on one register."""
-    _check_reg(amp, reg)
-    if a % N:
-        view = _split1(amp, N, reg)
-        view[...] = np.roll(view, a % N, axis=1)
+def _add_const(amp: np.ndarray, N: int, reg: int | Sequence[int],
+               a: int | Sequence[int]) -> None:
+    """|x> -> |x + a> on one register, or |x> -> |x + a[i]> on each register
+    reg[i] of a sequence: at most one gather per half of the label."""
+    x = _label(amp, N, reg, a)
+    view, h = _halves(amp, N)
+    rows, cols = x[:h].any(), x[h:].any()
+    src = view
+    if rows:
+        src = np.take(view, _shifted_index(N, x[:h]), axis=0)
+    if cols:
+        # after a row gather the column gather reads that copy and writes into
+        # the view, saving one copy; clip mode leaves `out` unbuffered
+        src = np.take(src, _shifted_index(N, x[h:]), axis=1, mode="clip",
+                      out=view if rows else None)
+    if src is not view:
+        view[...] = src
 
 
 def _add(amp: np.ndarray, N: int, src: int, dst: int, scale: int = 1) -> None:
     """|x, y> -> |x, y + scale * x> for registers (src, dst)."""
     _check_reg(amp, src, dst)
+    scale = _integer(scale, "scale")
     if src == dst:
         raise ValueError("source and destination must differ")
     view = _split2(amp, N, min(src, dst), max(src, dst))
@@ -118,6 +200,7 @@ def _add(amp: np.ndarray, N: int, src: int, dst: int, scale: int = 1) -> None:
 def _mul(amp: np.ndarray, N: int, reg: int, a: int) -> None:
     """|x> -> |a x>, a invertible mod N."""
     _check_reg(amp, reg)
+    a = _integer(a, "multiplier")
     if a % N == 0:
         raise ValueError("multiplier must be nonzero mod N")
     a_inv = pow(a % N, N - 2, N)
@@ -141,20 +224,23 @@ def _fourier(amp: np.ndarray, N: int, reg: int, inverse: bool = False) -> None:
         view[...] = np.matmul(F, view)
 
 
-def _local_phase(amp: np.ndarray, N: int, reg: int, a: int) -> None:
-    """|x> -> w^(a x) |x>."""
-    _check_reg(amp, reg)
-    view = _split1(amp, N, reg)
-    w = _omega(N)
-    for x in range(1, N):
-        e = (a * x) % N
-        if e:
-            view[:, x] *= w**e
+def _local_phase(amp: np.ndarray, N: int, reg: int | Sequence[int],
+                 a: int | Sequence[int]) -> None:
+    """|x> -> w^(a x) |x> on one register, or |x> -> w^(sum_i a[i] x[reg[i]]) |x>
+    for a sequence: at most one broadcast multiply per half of the label."""
+    z = _label(amp, N, reg, a)
+    view, h = _halves(amp, N)
+    powers = _omega(N) ** np.arange(N)
+    if z[:h].any():
+        view *= powers[_dot_exponent(N, z[:h])][:, None]
+    if z[h:].any():
+        view *= powers[_dot_exponent(N, z[h:])]
 
 
 def _pair_phase(amp: np.ndarray, N: int, reg1: int, reg2: int, c: int = 1) -> None:
     """|x, y> -> w^(c x y) |x, y>."""
     _check_reg(amp, reg1, reg2)
+    c = _integer(c, "c")
     if reg1 == reg2:
         raise ValueError("registers must differ")
     view = _split2(amp, N, min(reg1, reg2), max(reg1, reg2))
@@ -221,8 +307,8 @@ class StateVector:
 
     # elementary operations -------------------------------------------------
 
-    def add_const(self, reg: int, a: int) -> "StateVector":
-        """|x> -> |x + a> on one register."""
+    def add_const(self, reg: int | Sequence[int], a: int | Sequence[int]) -> "StateVector":
+        """|x> -> |x + a> on one register, or |x + a[i]> on each reg[i]."""
         return self._gate("add-const", reg=reg, a=a)
 
     def add(self, src: int, dst: int, scale: int = 1) -> "StateVector":
@@ -237,8 +323,8 @@ class StateVector:
         """|x> -> sum_y w^(xy) |y> / sqrt(N)."""
         return self._gate("fourier", reg=reg, inverse=inverse)
 
-    def local_phase(self, reg: int, a: int) -> "StateVector":
-        """|x> -> w^(a x) |x>."""
+    def local_phase(self, reg: int | Sequence[int], a: int | Sequence[int]) -> "StateVector":
+        """|x> -> w^(a x) |x> on one register, or w^(sum_i a[i] x[reg[i]]) |x>."""
         return self._gate("local-phase", reg=reg, a=a)
 
     def pair_phase(self, reg1: int, reg2: int, c: int = 1) -> "StateVector":
@@ -246,19 +332,21 @@ class StateVector:
         return self._gate("pair-phase", reg1=reg1, reg2=reg2, c=c)
 
     def apply_pauli(self, op: PauliWindow) -> "StateVector":
-        """Apply tau^phase X^x Z^z (Z first, then X)."""
+        """Apply tau^phase X^x Z^z (Z first, then X) as two kernel calls: one
+        local phase over the registers where z is nonzero, then one constant
+        addition over those where x is nonzero. A zero part is skipped, and
+        so is the global phase when phase_exp is 0."""
         if op.L != self.L or op.p != self.N:
             raise ValueError("operator does not match the state")
         N = self.N
         buf = self.amp.copy()
-        for j in range(self.L):
-            if op.z[j]:
-                _apply(buf, N, "local-phase", reg=j, a=int(op.z[j]))
-        for j in range(self.L):
-            if op.x[j]:
-                _apply(buf, N, "add-const", reg=j, a=int(op.x[j]))
-        tau = np.exp(1j * np.pi / N)
-        buf *= tau**op.phase_exp
+        for op_kind, part in (("local-phase", op.z), ("add-const", op.x)):
+            regs = np.flatnonzero(part)
+            if len(regs):
+                _apply(buf, N, op_kind, reg=regs, a=part[regs])
+        if op.phase_exp:
+            tau = np.exp(1j * np.pi / N)
+            buf *= tau**op.phase_exp
         return StateVector(N, self.L, buf)
 
     # readout ----------------------------------------------------------------
@@ -414,6 +502,9 @@ def verify_logical(op: PauliWindow, info: Sequence[int], expected_info_delta: Se
                    N: int, T: int | None = None) -> bool:
     """True iff op maps the flagship codeword of `info` to the codeword of
     info + expected_info_delta, up to global phase."""
+    if len(expected_info_delta) != len(info):
+        raise ValueError(f"expected_info_delta has {len(expected_info_delta)} symbols, "
+                         f"info has {len(info)}")
     before = encode_eq1(info, N, T)
     target = encode_eq1([(a + b) % N for a, b in zip(info, expected_info_delta)], N, T)
     return fidelity(before.apply_pauli(op), target) >= 1 - LOGICAL_TOL

@@ -365,3 +365,26 @@ def viterbi_by_argmin(sections, start, inf, settled=None):
     end = best_state()
     labels = np.hstack([labels, traceback(winners[labels.shape[1]:], end)])
     return labels, metric[rows, end], end
+
+
+def apply_pauli_by_registers(amp, op):
+    """The reference for `StateVector.apply_pauli` on the amplitude array
+    `amp` of shape (N,) * L: tau^phase X^x Z^z applied one register at a
+    time, a phase w^(z_j v) on each slice where register j has label v,
+    then a roll by x_j along each register's axis, then the global phase.
+    Returns a new array."""
+    N = op.p
+    amp = np.array(amp, dtype=np.complex128)
+    w = np.exp(2j * np.pi / N)
+    for j in range(op.L):
+        view = amp.reshape(N**j, N, -1)
+        for v in range(1, N):
+            e = (int(op.z[j]) * v) % N
+            if e:
+                view[:, v] *= w**e
+    for j in range(op.L):
+        if op.x[j]:
+            view = amp.reshape(N**j, N, -1)
+            view[...] = np.roll(view, int(op.x[j]), axis=1)
+    amp *= np.exp(1j * np.pi / N) ** op.phase_exp
+    return amp

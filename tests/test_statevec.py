@@ -18,7 +18,7 @@ from qcclab.statevec import (
     verify_logical,
 )
 
-from oracles import closed_form_state, eq1_encoder_gates
+from oracles import apply_pauli_by_registers, closed_form_state, eq1_encoder_gates
 
 
 def _parent(p, taps):
@@ -228,6 +228,124 @@ class TestKernelContract:
         with pytest.raises(ValueError, match="norm"):
             circuit(state)
         assert len(calls) == 1
+
+    def test_norm_checked_after_the_shift_of_an_operator_with_x_and_z_parts(self, monkeypatch):
+        # the local phase runs first and passes its check; the leaky constant
+        # addition over registers 1 and 3 must fail on its first call
+        state = encode_eq1((1, 0, 1), 2, 3)
+        calls = []
+
+        def leaky(amp, N, **params):
+            calls.append(params)
+            amp *= 1 + 1e-6
+
+        monkeypatch.setitem(statevec._KERNELS, "add-const", leaky)
+        with pytest.raises(ValueError, match="norm"):
+            state.apply_pauli(PauliWindow.from_string("IYIXZIIIIIIZ"))
+        assert len(calls) == 1
+        assert np.asarray(calls[0]["reg"]).tolist() == [1, 3]
+
+
+def _labels(N, L, rng):
+    """x or z vectors of L registers: weight 0, weight 1 on the first and on
+    the last register, support in either half of the (N^h, N^(L-h)) view
+    only, h = L // 2, and full weight."""
+    h = L // 2
+    supports = {"zero": [], "first": [0], "last": [L - 1], "rows": range(h),
+                "columns": range(h, L), "full": range(L)}
+    out = {}
+    for name, regs in supports.items():
+        v = np.zeros(L, dtype=np.int64)
+        v[list(regs)] = rng.integers(1, N, len(regs))
+        out[name] = v
+    return out
+
+
+class TestWholeLabelKernels:
+    @pytest.mark.parametrize("N, L", [(2, 6), (2, 7), (3, 4), (3, 5), (5, 1), (5, 4)])
+    def test_apply_pauli_matches_the_per_register_oracle(self, N, L):
+        rng = np.random.default_rng([N, L])
+        raw = rng.normal(size=(N,) * L) + 1j * rng.normal(size=(N,) * L)
+        s = StateVector(N, L, raw / np.linalg.norm(raw.ravel()))
+        labels = _labels(N, L, rng)
+        for (xn, x), (zn, z) in itertools.product(labels.items(), repeat=2):
+            for phase in range(2 * N):
+                op = PauliWindow(x, z, N, phase)
+                got = s.apply_pauli(op).amp
+                want = apply_pauli_by_registers(s.amp, op)
+                assert got.flags.c_contiguous, (xn, zn, phase)
+                if z.any():
+                    assert np.abs(got - want).max() <= 1e-12, (xn, zn, phase)
+                else:
+                    assert np.array_equal(got, want), (xn, phase)
+
+    def test_pauli_operator_is_at_most_two_kernel_calls(self, monkeypatch):
+        ran = []
+        apply = statevec._apply
+
+        def spy(amp, N, op_kind, **params):
+            ran.append(op_kind)
+            apply(amp, N, op_kind, **params)
+
+        monkeypatch.setattr(statevec, "_apply", spy)
+        state = StateVector.basis(2, 6, [0, 1, 1, 0, 0, 1])
+        for label, kinds in [("IIIIII", []), ("ZZIZIZ", ["local-phase"]),
+                             ("XIXXII", ["add-const"]),
+                             ("XYZYXZ", ["local-phase", "add-const"])]:
+            ran.clear()
+            state.apply_pauli(PauliWindow.from_string(label))
+            assert ran == kinds, label
+
+
+_STATE = StateVector.basis(2, 3, [0, 1, 0])
+# each case: a call on _STATE, the error it raises and a pattern of its message
+_INPUT_ERRORS = {
+    "basis-too-few-labels": (lambda: StateVector.basis(2, 3, [0, 1]), ValueError, "3 labels"),
+    "basis-too-many-labels": (lambda: StateVector.basis(2, 3, [0, 1, 0, 1]), ValueError,
+                              "3 labels"),
+    "basis-fractional-label": (lambda: StateVector.basis(2, 3, [0, 1.5, 0]), ValueError,
+                               "integers in GF\\(2\\)"),
+    "basis-label-outside-the-field": (lambda: StateVector.basis(3, 2, [0, 3]), ValueError,
+                                      "integers in GF\\(3\\)"),
+    "add-const-fractional-shift": (lambda: _STATE.add_const(0, 1.5), TypeError, "a must be"),
+    "local-phase-fractional-multiplier": (lambda: _STATE.local_phase(0, 0.5), TypeError,
+                                          "a must be"),
+    "fractional-register": (lambda: _STATE.add_const(0.5, 1), TypeError, "register"),
+    "add-fractional-scale": (lambda: _STATE.add(0, 1, scale=1.5), TypeError, "scale"),
+    "mul-fractional-multiplier": (lambda: _STATE.mul(0, 1.5), TypeError, "multiplier"),
+    "pair-phase-fractional-c": (lambda: _STATE.pair_phase(0, 1, c=0.5), TypeError, "c must"),
+    "add-const-unequal-lengths": (lambda: _STATE.add_const([0, 1], [1]), ValueError,
+                                  "equal-length"),
+    "local-phase-sequence-and-integer": (lambda: _STATE.local_phase([0, 1], 1), ValueError,
+                                         "equal-length"),
+    "add-const-repeated-register": (lambda: _STATE.add_const([0, 0], [1, 1]), ValueError,
+                                    "distinct"),
+    "local-phase-repeated-register": (lambda: _STATE.local_phase([2, 2], [1, 1]), ValueError,
+                                      "distinct"),
+    "add-const-register-out-of-range": (lambda: _STATE.add_const([0, 3], [1, 1]), IndexError,
+                                        "register 3 out of range"),
+    "local-phase-negative-register": (lambda: _STATE.local_phase([-1], [1]), IndexError,
+                                      "register -1 out of range"),
+    "verify-logical-short-delta": (
+        lambda: verify_logical(PauliWindow.identity(12, 2), (0, 1, 0), (1, 0), 2),
+        ValueError, "expected_info_delta has 2 symbols, info has 3"),
+    "verify-logical-long-delta": (
+        lambda: verify_logical(PauliWindow.identity(12, 2), (0, 1, 0), (1, 0, 0, 0), 2),
+        ValueError, "expected_info_delta has 4 symbols, info has 3"),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", sorted(_INPUT_ERRORS))
+    def test_bad_input_raises_a_typed_error(self, case):
+        call, error, message = _INPUT_ERRORS[case]
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_sequence_form_accepts_equal_length_labels(self):
+        s = _STATE.add_const([0, 2], [1, 1]).local_phase([1, 2], [1, 1])
+        assert s.amp[1, 1, 1] == pytest.approx(1.0)
+        assert np.array_equal(_STATE.add_const([], []).amp, _STATE.amp)
 
 
 class TestEncode:
