@@ -6,7 +6,8 @@ diagnostics to stderr. Exit codes: 0 success, 1 reader closed stdout
 (nothing more is printed, on stdout or stderr), 2 input error, 3 domain
 rejection (catastrophic parent and similar). Input errors, out-of-range
 `simulate --p`, `--trials`, `--seed` and `--jobs` among them, print one
-`error:` line.
+`error:` line; so does a QCC_STATE_CAP that is not a positive integer, or
+a trellis or state vector over that cap.
 
 `simulate` prints one row per channel error rate. `Pe_hat` is the number
 of trials whose decoded residual acts on any payload logical pair, divided
@@ -191,10 +192,7 @@ def cmd_simulate(args) -> int:
     # the serial runs share one error trellis across the --p values; it is
     # built under --jobs too, so that a trellis over the state cap is
     # reported before any worker starts
-    try:
-        trellis = build_error_trellis(qcc)
-    except StateCapError as exc:
-        raise InputError(str(exc)) from exc
+    trellis = build_error_trellis(qcc)
 
     try:
         dist = measure_distance(qcc)
@@ -295,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=6, help="window length in parent blocks")
     p.set_defaults(fn=cmd_build_qcc)
 
-    p = sub.add_parser("print-stabilizers", help="emit generator and logical strings")
+    p = sub.add_parser("print-stabilizers", help="emit templates, generators in "
+                       "minimal span order, and logical pairs")
     add_code(p)
     p.add_argument("--window", type=int, default=6)
     p.set_defaults(fn=cmd_print_stabilizers)
@@ -336,7 +335,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, StateCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CatastrophicParentError, RankDeficientError) as exc:

@@ -26,16 +26,21 @@ DEFAULT_STATE_CAP = 1 << 20
 
 
 class StateCapError(ValueError):
-    """A trellis or state vector would exceed the configured size cap."""
+    """A size cap would be exceeded, or QCC_STATE_CAP is not a positive integer."""
 
 
 def size_cap(explicit: int | None, default: int) -> int:
     """The size cap: `explicit` if given, else the QCC_STATE_CAP environment
-    variable, else the caller's default."""
+    variable, else the caller's default. A set variable must hold a positive
+    integer, else StateCapError naming it."""
     if explicit is not None:
         return explicit
     env = os.environ.get("QCC_STATE_CAP")
-    return int(env) if env else default
+    if not env:
+        return default
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise StateCapError(f"QCC_STATE_CAP must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def field_symbols(values, p: int, what: str) -> np.ndarray:

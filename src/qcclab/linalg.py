@@ -27,7 +27,9 @@ def rref(M, p: int) -> tuple[np.ndarray, list[int]]:
             continue
         if sel != r:
             R[[r, sel]] = R[[sel, r]]
-        R[r] = R[r] * pow(int(R[r, c]), p - 2, p) % p
+        inv = pow(int(R[r, c]), p - 2, p)
+        if inv != 1:
+            R[r] = R[r] * inv % p
         factor = R[:, c].copy()
         factor[r] = 0
         R -= factor[:, None] * R[r]
@@ -60,16 +62,16 @@ def solve(M, b, p: int) -> np.ndarray | None:
 
 
 def kernel(M, p: int) -> np.ndarray:
-    """Basis of the right null space {x : M x = 0}, one vector per row."""
+    """Basis of the right null space {x : M x = 0}, one vector per row:
+    vector i is the i-th free column's unit vector less, on the pivot
+    columns, that column of the reduced form of M."""
     M = _as_matrix(M)
     cols = M.shape[1]
     R, pivots = rref(M, p)
-    free = [c for c in range(cols) if c not in pivots]
+    free = np.flatnonzero(np.bincount(pivots, minlength=cols) == 0)
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, c in enumerate(pivots):
-            basis[i, c] = (-R[r, f]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -R[:, free].T % p
     return basis
 
 

@@ -17,10 +17,11 @@ solved on a narrow column window around its block
 the parent's taps (`encoding_matrix`); `statevec` derives the encoder and
 decoder circuits from them.
 
-Away from the window's edges the minimal-span generator rows are exact
-shifts of a few fixed patterns, so the templates are read from the middle
-block of one reference window of 4m + 6 blocks, whatever the window
-(`QccCode.templates`).
+The generators, pure X or pure Z, come in minimal span form over the
+register-interleaved (x_j, z_j) columns, the basis the error trellis
+decodes in. Away from the window's edges they are exact shifts of a few
+fixed patterns, so the templates are read from the middle block of one
+reference window of 4m + 6 blocks, whatever the window (`QccCode.templates`).
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ def encoding_matrix(code: ConvCode, n_blocks: int) -> np.ndarray:
 
 
 def _generator_rows(A: np.ndarray, B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows spanning the X-type generators (B applied to the dual of
-    im(A)) and the Z-type generators (the dual of im(B))."""
-    return (linalg.kernel(A.T, p) @ B.T) % p, linalg.kernel(B.T, p)
+    """Bases of the X-type generators (B applied to the dual of im(A)) and
+    of the Z-type generators (the dual of im(B)), each in minimal span
+    form, rows sorted by start."""
+    return (linalg.minimal_span_basis(linalg.kernel(A.T, p) @ B.T, p),
+            linalg.minimal_span_basis(linalg.kernel(B.T, p), p))
 
 
 def _unit(n: int, i: int) -> np.ndarray:
@@ -145,12 +148,16 @@ class QccCode:
 
     @cached_property
     def stabilizer(self) -> StabilizerWindow:
+        """Generators by start over the interleaved columns, 2j for x_j and
+        2j + 1 for z_j. X and Z rows never share a start or an end column,
+        so each type is reduced alone and the merge is in minimal span form."""
         p = self.N
-        A, B = self.first_matrix, self.second_matrix
         L, K = self.L, self.k_info
-        x_gens, z_gens = (linalg.rref(rows, p)[0] for rows in _generator_rows(A, B, p))
-        gens = [PauliWindow(v, np.zeros(L), p) for v in x_gens]
-        gens += [PauliWindow(np.zeros(L), v, p) for v in z_gens]
+        x_gens, z_gens = _generator_rows(self.first_matrix, self.second_matrix, p)
+        X, Z = np.vstack([x_gens, 0 * z_gens]), np.vstack([0 * x_gens, z_gens])
+        starts = 2 * (X + Z != 0).argmax(axis=1) + (np.arange(len(X)) >= len(x_gens))
+        order = sorted(range(len(X)), key=starts.tolist().__getitem__)
+        gens = [PauliWindow(X[i], Z[i], p) for i in order]
         log_x, log_z = zip(*(self._logical_pair(i) for i in range(K)))
         return StabilizerWindow(gens, log_x, log_z, L=L, p=p)
 
@@ -238,7 +245,6 @@ def _extract_templates(parent: ConvCode) -> tuple[Template, ...]:
     out: list[Template] = []
     for kind, rows in zip(("stabilizer-x", "stabilizer-z"),
                           _generator_rows(ref.first_matrix, ref.second_matrix, p)):
-        rows = linalg.minimal_span_basis(rows, p)  # sorted by start, so by offset
         starts = (rows != 0).argmax(axis=1)
         for row in rows[(mid <= starts) & (starts < mid + step)]:
             xz = (row, zeros) if kind == "stabilizer-x" else (zeros, row)

@@ -11,9 +11,11 @@ whatever the cuts, and every decoder here runs `convcode.viterbi`, with
 its one tie-break rule: among corrections of minimum weight, the
 lexicographically smallest sequence of branch indices wins, which is the
 smallest register-interleaved (x, z) assignment. So costs and corrections
-depend neither on the cuts nor on the generator basis. Every decoder takes
-a built `ErrorTrellis`, so one trellis serves many calls, and syndromes
-as arrays of values in the window's generator order.
+depend neither on the cuts nor on the generator basis. The trellis uses
+the window's generators as given, with no change of basis; the minimal
+span form of `QccCode.stabilizer` keeps the fewest open at any boundary.
+Every decoder takes a built `ErrorTrellis`, so one trellis serves many
+calls, and syndromes as arrays of values in the window's generator order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .convcode import StateCapError, field_symbols, size_cap, step_keys, viterbi
 from .pauli import PauliWindow, StabilizerWindow
 from .qcc import QccCode
@@ -83,10 +84,11 @@ def _section_bounds(n_open: np.ndarray, last: np.ndarray, block_regs: int, p: in
 class ErrorTrellis:
     """Register-sectioned trellis over a stabilizer window.
 
-    Generators are re-based to minimal span form over the register-
-    interleaved (x_j, z_j) columns, so that few are open across any
-    register boundary; the change of basis back to the window's generator
-    order is kept so observed syndromes can be fed in directly.
+    It decodes in the window's generators as given, so syndromes are fed
+    in as observed. They must start at distinct register-interleaved
+    (x_j, z_j) columns, else ValueError. Results do not depend on the
+    basis; the minimal span form of `QccCode.stabilizer` keeps the trellis
+    small.
 
     Every block of `block_regs` registers is cut into the sections of
     least decoding work (`_section_bounds`); `bounds` lists the cuts in
@@ -117,27 +119,20 @@ class ErrorTrellis:
         self.n_blocks = -(-self.L // block_regs)
         p, L = self.p, self.L
 
-        gen_matrix = np.array(
-            [g.symplectic() for g in stab.generators], dtype=np.int64
-        )
+        gen_matrix = stab._gen_matrix
         if len(gen_matrix) == 0:
             raise ValueError("trellis needs at least one generator")
-        # interleave (x_j, z_j) per register so span reflects register order
-        inter = np.empty_like(gen_matrix)
-        inter[:, 0::2] = gen_matrix[:, :L]
-        inter[:, 1::2] = gen_matrix[:, L:]
-        mss = linalg.minimal_span_basis(inter, p)
-        self.G = len(mss)
-        self.gen_x = np.ascontiguousarray(mss[:, 0::2])
-        self.gen_z = np.ascontiguousarray(mss[:, 1::2])
-        # syndrome transform: minimal span row i is transform[i] @ gen_matrix
-        coeffs = linalg.solve(gen_matrix.T, np.hstack([self.gen_x, self.gen_z]).T, p)
-        if coeffs is None:
-            raise AssertionError("minimal span row left the generator space")
-        self.transform = coeffs.T
+        self.G = len(gen_matrix)
+        self.gen_x = np.ascontiguousarray(gen_matrix[:, :L])
+        self.gen_z = np.ascontiguousarray(gen_matrix[:, L:])
 
         sup = (self.gen_x != 0) | (self.gen_z != 0)
         self._first = sup.argmax(axis=1)
+        # starts over the interleaved columns, 2j for x_j and 2j + 1 for z_j
+        starts = np.sort(2 * self._first + (self.gen_x[np.arange(self.G), self._first] == 0))
+        if not sup.any(axis=1).all() or (starts[1:] == starts[:-1]).any():
+            raise ValueError("trellis generators must be nonzero and start at distinct "
+                             "register-interleaved (x_j, z_j) columns")
         self._last = L - 1 - sup[:, ::-1].argmax(axis=1)
         self.first_block = self._first // block_regs
         self.last_block = self._last // block_regs
@@ -232,17 +227,6 @@ class ErrorTrellis:
             "step_row": step_row.astype(np.min_scalar_type(n_new - 1)).reshape(shape),
         }
 
-    def map_syndrome(self, syn: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Observed syndrome values (one row or many) in the trellis's
-        generator basis."""
-        values = np.asarray(syn)
-        if values.shape[-1:] != (len(self.stab.generators),):
-            raise ValueError(
-                f"expected {len(self.stab.generators)} syndrome values, got {values.shape}"
-            )
-        values = field_symbols(values, self.p, "syndrome values")
-        return (values @ self.transform.T) % self.p
-
 
 def build_error_trellis(code: QccCode) -> ErrorTrellis:
     return ErrorTrellis(code.stabilizer, code.regs_per_block)
@@ -251,7 +235,10 @@ def build_error_trellis(code: QccCode) -> ErrorTrellis:
 def _decode(trellis: ErrorTrellis, syndromes, settled=None):
     """Branch indices (rows, sections) and costs of the minimum-weight
     corrections of a batch of syndromes; `settled` as in `viterbi`."""
-    targets = np.atleast_2d(trellis.map_syndrome(syndromes))
+    targets = np.atleast_2d(syndromes)
+    if targets.shape[-1:] != (trellis.G,):
+        raise ValueError(f"expected {trellis.G} syndrome values, got {np.shape(syndromes)}")
+    targets = field_symbols(targets, trellis.p, "syndrome values")
     p, inf = trellis.p, trellis.L + 1
 
     def sections():

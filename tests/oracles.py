@@ -224,6 +224,23 @@ def solve_localized_by_trimming(M, b, p, center, halfwidth):
     return out
 
 
+def kernel_by_loop(M, p):
+    """The reference for `linalg.kernel`: the null space basis from the
+    reduced form, one free column and one pivot at a time."""
+    from qcclab import linalg
+
+    M = np.asarray(M, dtype=np.int64).reshape(-1, np.shape(M)[-1])
+    cols = M.shape[1]
+    R, pivots = linalg.rref(M, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for r, c in enumerate(pivots):
+            basis[i, c] = (-R[r, f]) % p
+    return basis
+
+
 def first_stabilizer_violation(generators, logical_x, logical_z):
     """The message `StabilizerWindow` raises for these operators, or None,
     by checking every pair with `sym_product` in the order: each generator

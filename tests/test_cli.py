@@ -240,6 +240,35 @@ def test_simulate_trellis_over_the_state_cap_exits_2(flagship_file, capsys, monk
     assert captured.err.count("\n") == 1
 
 
+CAP_COMMANDS = {
+    "simulate": ["simulate", "--code", "{code}", "--p", "0.03", "--window", "8",
+                 "--trials", "20"],
+    "verify-statevec": ["verify-statevec"],
+    "viterbi": ["viterbi", "--code", "{code}", "--received", "[0, 0, 0, 0, 0, 0]"],
+}
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+@pytest.mark.parametrize("command", sorted(CAP_COMMANDS))
+def test_malformed_state_cap_exits_2_with_one_line(flagship_file, capsys, monkeypatch,
+                                                   command, value):
+    monkeypatch.setenv("QCC_STATE_CAP", value)
+    argv = [a.format(code=flagship_file) for a in CAP_COMMANDS[command]]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: QCC_STATE_CAP must be a positive integer, got {value!r}\n"
+
+
+def test_verify_statevec_over_the_state_cap_exits_2(capsys, monkeypatch):
+    # 2^4 amplitudes fit, so the T=1 check runs before the T=2 state is refused
+    monkeypatch.setenv("QCC_STATE_CAP", "16")
+    assert main(["verify-statevec"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["PASS encode N=2 T=1 circuit-vs-closed-form fidelity"]
+    assert captured.err == "error: state of 2^8 amplitudes exceeds the cap\n"
+
+
 def test_merged_reports_add_counts():
     part = dict(timesteps=8, payload_qubits=1, payload_indices=(1,), seed=5,
                 p_err=0.03, model="depolarizing")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from qcclab import ConvCode, QccCode, linalg
+from qcclab import ConvCode, PolyMatrix, QccCode, linalg
+from qcclab.qcc import encoding_matrix
 from qcclab.qviterbi import build_error_trellis
+
+from oracles import kernel_by_loop
 
 
 def test_rref_pivots():
@@ -26,6 +29,19 @@ def test_kernel_annihilates():
         K = linalg.kernel(M, p)
         assert len(K) == 7 - linalg.rank(M, p)
         assert not ((M @ K.T) % p).any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_equals_the_loop_reference(p):
+    rng = np.random.default_rng(p)
+    mats = [rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols)) < density)
+            for rows, cols, density in zip(rng.integers(0, 9, 200), rng.integers(1, 13, 200),
+                                           rng.random(200))]
+    parent = ConvCode(PolyMatrix.from_coeffs([[[1, 0, 1], [1, 1, 1]]], p))
+    mats += [encoding_matrix(parent, blocks).T for blocks in (3, 10, 20)]
+    for M in mats:
+        got, want = linalg.kernel(M, p), kernel_by_loop(M, p)
+        assert got.dtype == want.dtype and np.array_equal(got, want), M
 
 
 def test_in_rowspan():

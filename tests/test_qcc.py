@@ -8,7 +8,7 @@ import pytest
 from qcclab import ConvCode, PolyMatrix, QccCode, encode_stream, linalg
 from qcclab.gfpoly import RankDeficientError, catastrophic_check
 from qcclab.linalg import solve_localized
-from qcclab.qcc import _normalize, _unit, encoding_matrix
+from qcclab.qcc import _normalize, _span_len, _unit, encoding_matrix
 
 from oracles import solve_localized_by_trimming
 
@@ -104,6 +104,42 @@ def test_stabilizer_templates_shift_into_the_stabilizer(name):
                 shifts[row, start : start + n] = t.pattern.x
                 shifts[row, L + start : L + start + n] = t.pattern.z
             assert not (shifts @ partner.T % p).any(), (W, t.kind, t.offset)
+
+
+def _interleaved(gens):
+    """Generators as rows over the register-interleaved columns, 2j for x_j
+    and 2j + 1 for z_j."""
+    rows = np.zeros((len(gens), 2 * gens[0].L), dtype=np.int64)
+    for i, g in enumerate(gens):
+        rows[i, 0::2], rows[i, 1::2] = g.x, g.z
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_PARENTS))
+def test_generators_come_in_minimal_span_form(name):
+    """The generators are pure X or pure Z, span the construction's kernel
+    rows, and form the minimal span basis over the interleaved columns, in
+    order of start: strictly increasing starts, distinct ends, each no
+    wider than the interior templates."""
+    parent = TEMPLATE_PARENTS[name]()
+    k, m = parent.k, parent.m
+    for W in (m + 1, 4 * m + 6, 2 * (4 * m + 6)):
+        code = QccCode(parent, W + -W % k)
+        p, gens = code.N, code.stabilizer.generators
+        rows = _interleaved(gens)
+        nz = rows != 0
+        starts = nz.argmax(axis=1)
+        ends = rows.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+        assert (np.diff(starts) > 0).all(), W
+        assert len(set(ends.tolist())) == len(ends), W
+        assert np.array_equal(linalg.minimal_span_basis(rows, p), rows), W
+        assert all(g.x.any() != g.z.any() for g in gens), W
+        # each type spans its kernel rows: equal row spaces, equal reduced forms
+        A, B = code.first_matrix, code.second_matrix
+        for rows, ours in ((linalg.kernel(A.T, p) @ B.T, [g.x for g in gens if g.x.any()]),
+                           (linalg.kernel(B.T, p), [g.z for g in gens if g.z.any()])):
+            assert np.array_equal(linalg.rref(rows, p)[0], linalg.rref(ours, p)[0]), W
+        assert max(_span_len(g) for g in gens) <= code.support_bound, W
 
 
 @pytest.mark.parametrize("parent, blocks", [
