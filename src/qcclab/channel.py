@@ -434,7 +434,7 @@ def _interior_rows(mat: np.ndarray, L: int, lo: int, hi: int, p: int) -> np.ndar
     rows[:, 0::2] = mat[:, L + lo : L + hi]
     rows[:, 1::2] = -mat[:, lo:hi] % p
     rows = linalg.rref(rows, p)[0]
-    return linalg.minimal_span_basis(rows, p) if len(rows) else rows
+    return linalg.shorten_ends(rows, p) if len(rows) else rows
 
 
 # path counts are exact int64; a sum past this raises instead of wrapping

@@ -31,10 +31,13 @@ class StateCapError(ValueError):
 
 def size_cap(explicit: int | None, default: int) -> int:
     """The size cap: `explicit` if given, else the QCC_STATE_CAP environment
-    variable, else the caller's default. A set variable must hold a positive
-    integer, else StateCapError naming it."""
+    variable, else the caller's default. A given cap or a set variable must
+    be a positive integer, else StateCapError naming it."""
     if explicit is not None:
-        return explicit
+        integer = isinstance(explicit, (int, np.integer)) and not isinstance(explicit, bool)
+        if not integer or explicit < 1:
+            raise StateCapError(f"state cap must be a positive integer, got {explicit!r}")
+        return int(explicit)
     env = os.environ.get("QCC_STATE_CAP")
     if not env:
         return default

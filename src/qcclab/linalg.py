@@ -85,17 +85,25 @@ def minimal_span_basis(vectors, p: int) -> np.ndarray:
     """Row-equivalent basis in minimal span form, rows sorted by start.
 
     Two passes (Kschischang and Sorokine): `rref` makes the starts
-    distinct; then, right to left over the columns, every other row that
-    ends in the column is reduced by the row ending there with the latest
-    start, which moves its end left and never moves a start. Distinct
-    starts and distinct ends characterise minimal span form, which
-    minimises the trellis state complexity over the given column order.
-    Zero rows are dropped; dependent rows raise ValueError."""
+    distinct; then `shorten_ends` makes the ends distinct. Distinct starts
+    and distinct ends characterise minimal span form, which minimises the
+    trellis state complexity over the given column order. Zero rows are
+    dropped; dependent rows raise ValueError."""
     M = _as_matrix(vectors) % p
     M = M[M.any(axis=1)]
     R, pivots = rref(M, p)
     if len(pivots) < len(M):
         raise ValueError("dependent rows in minimal span reduction")
+    return shorten_ends(R, p)
+
+
+def shorten_ends(R, p: int) -> np.ndarray:
+    """The second pass of `minimal_span_basis` on nonzero rows with distinct
+    starts, sorted by start (a reduced row echelon form): right to left over
+    the columns, every other row that ends in the column is reduced by the
+    row ending there with the latest start, which moves its end left and
+    never moves a start. Returns a new array."""
+    R = _as_matrix(R) % p
     cols = R.shape[1]
     ends = cols - 1 - (R[:, ::-1] != 0).argmax(axis=1)
     for c in range(cols - 1, -1, -1):

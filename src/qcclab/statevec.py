@@ -15,19 +15,31 @@ with registers 0..h-1 indexing the rows. X^x is then at most two gathers, one
 per axis, and Z^z at most two broadcast multiplies by per-half phase vectors,
 each built in O(N^h) steps from the half of x or z it serves.
 
+The label-permutation kernel `linear` takes |v> to |M v> for any L x L
+matrix M invertible mod N. It gathers the whole array in row chunks of the
+same view: the source label M^-1 u of each output label u is the digit-wise
+sum mod N of what its row half and its column half contribute, an exclusive
+or of two indices over GF(2) and read from small cached tables of digit-wise
+sums otherwise.
+
 `StateVector` is immutable: its gate methods copy the amplitudes once, run
 one kernel on the copy and return a new state. The circuits (`apply_pauli`,
 `encode`, `decode_step`) run all their gates on one working buffer, with
 the norm checked after every kernel call, and build one `StateVector` at the
 end; a Pauli operator is two kernel calls, one local phase over the support
-of z and one constant addition over the support of x.
-`encode` and `decode_step` derive their gate lists for any parent from the
-encoding matrices of `qcc.encoding_matrix`; `encode_eq1` and
-`decode_step_eq1` are their instance on the paper's flagship parent.
+of z and one constant addition over the support of x. A circuit runs each
+stretch of consecutive `add` and `mul` gates as one `linear` kernel call,
+with the matrix the gates compose to.
+`encode_gates` and `decode_gates` derive the gate lists for any parent from
+the encoding matrices of `qcc.encoding_matrix`; `encode` and `decode_step`
+run them, and `encode_eq1` and `decode_step_eq1` are their instance on the
+paper's flagship parent.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +56,10 @@ LOGICAL_TOL = 1e-9
 # a Fourier kernel with at most this many amplitudes after its register
 # runs as one GEMM with kron(F, I); above it, as a stacked matmul with F
 _KRON_MAX_TRAILING = 16
+# the label-permutation kernel gathers in row chunks of about this many
+# amplitudes, and its digit-wise sum tables have at most this many entries
+_LINEAR_CHUNK = 1 << 16
+_SUM_TABLE_MAX = 1 << 16
 
 
 def _check_dims(N: int, L: int) -> None:
@@ -179,12 +195,25 @@ def _add_const(amp: np.ndarray, N: int, reg: int | Sequence[int],
         view[...] = src
 
 
-def _add(amp: np.ndarray, N: int, src: int, dst: int, scale: int = 1) -> None:
-    """|x, y> -> |x, y + scale * x> for registers (src, dst)."""
+def _add_params(amp: np.ndarray, src: int, dst: int, scale: int = 1) -> tuple[int, int, int]:
     _check_reg(amp, src, dst)
     scale = _integer(scale, "scale")
     if src == dst:
         raise ValueError("source and destination must differ")
+    return int(src), int(dst), scale
+
+
+def _mul_params(amp: np.ndarray, N: int, reg: int, a: int) -> tuple[int, int]:
+    _check_reg(amp, reg)
+    a = _integer(a, "multiplier")
+    if a % N == 0:
+        raise ValueError("multiplier must be nonzero mod N")
+    return int(reg), a % N
+
+
+def _add(amp: np.ndarray, N: int, src: int, dst: int, scale: int = 1) -> None:
+    """|x, y> -> |x, y + scale * x> for registers (src, dst)."""
+    src, dst, scale = _add_params(amp, src, dst, scale)
     view = _split2(amp, N, min(src, dst), max(src, dst))
     for v in range(1, N):
         shift = (scale * v) % N
@@ -199,11 +228,8 @@ def _add(amp: np.ndarray, N: int, src: int, dst: int, scale: int = 1) -> None:
 
 def _mul(amp: np.ndarray, N: int, reg: int, a: int) -> None:
     """|x> -> |a x>, a invertible mod N."""
-    _check_reg(amp, reg)
-    a = _integer(a, "multiplier")
-    if a % N == 0:
-        raise ValueError("multiplier must be nonzero mod N")
-    a_inv = pow(a % N, N - 2, N)
+    reg, a = _mul_params(amp, N, reg, a)
+    a_inv = pow(a, N - 2, N)
     view = _split1(amp, N, reg)
     view[...] = view[:, [(a_inv * y) % N for y in range(N)]]
 
@@ -252,10 +278,100 @@ def _pair_phase(amp: np.ndarray, N: int, reg1: int, reg2: int, c: int = 1) -> No
                 view[:, x, :, y] *= w**e
 
 
+def _labels_of(N: int, m: int) -> np.ndarray:
+    """Every label of m registers in C order, one per column: shape (m, N^m)."""
+    return np.indices((N,) * m).reshape(m, N**m)
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_sum_table(N: int, g: int) -> np.ndarray:
+    """t[a N^g + b] = the g-digit base-N number whose digits are those of a
+    and b added mod N, for all a, b < N^g; read-only, as every call shares it."""
+    place = N ** np.arange(g - 1, -1, -1)
+    digits = _labels_of(N, g).T
+    table = ((digits[:, None] + digits[None]) % N @ place).astype(np.int32).ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _group_size(N: int, L: int) -> int:
+    """Source digits per group: all L over GF(2), where a digit-wise sum is
+    an exclusive or; else the most whose digit-sum table has at most
+    _SUM_TABLE_MAX entries, and at least one."""
+    if N == 2:
+        return L
+    g = 1
+    while N ** (2 * g + 2) <= _SUM_TABLE_MAX:
+        g += 1
+    return g
+
+
+def _linear(amp: np.ndarray, N: int, M) -> None:
+    """|v> -> |M v> for an L x L matrix M invertible mod N: one gather, in
+    which output label u reads input label M^-1 u.
+
+    On the (N^h, N^(L-h)) view the source label of u is the digit-wise sum
+    mod N of M^-1 (u_rows, 0) and M^-1 (0, u_cols). Over GF(2) that sum of
+    two indices is their exclusive or; otherwise the digits go in groups
+    small enough for a cached digit-wise sum table, and the source index is
+    built group by group. The index is built one chunk of rows at a time, so
+    no full-size index array exists; the chunks are gathered into one
+    scratch buffer that is copied back at the end."""
+    L = amp.ndim
+    M = _integers(M, "M")
+    if M.shape != (L, L):
+        raise ValueError(f"M must be a {L} x {L} matrix, got shape {M.shape}")
+    inv = linalg.solve(M % N, np.eye(L, dtype=np.int64), N)
+    if inv is None:
+        raise ValueError(f"M is singular mod {N}")
+    if not L:  # the one amplitude of zero registers has nowhere to go
+        return
+    view, h = _halves(amp, N)
+    from_rows = inv[:, :h] @ _labels_of(N, h) % N
+    from_cols = inv[:, h:] @ _labels_of(N, L - h) % N
+    g = _group_size(N, L)
+    groups = []  # (place value, digit-sum table or None, row keys, column keys)
+    for lo in range(0, L, g):
+        size = min(g, L - lo)
+        place = N ** np.arange(size - 1, -1, -1)
+        table = None
+        if N > 2 and N ** (2 * size) <= _SUM_TABLE_MAX:
+            table = _digit_sum_table(N, size)
+        scale = 1 if table is None else N**size
+        groups.append((N**size, table, place @ from_rows[lo : lo + size] * scale,
+                       place @ from_cols[lo : lo + size]))
+    rows, cols = view.shape
+    step = max(1, _LINEAR_CHUNK // cols)
+    key = np.empty((step, cols), dtype=np.intp)
+    part = np.empty((step, cols), dtype=np.int32)
+    index = np.empty((step, cols), dtype=np.intp)
+    flat, out = amp.reshape(-1), np.empty_like(view)
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        k, q, i = key[: r1 - r0], part[: r1 - r0], index[: r1 - r0]
+        for n, (base, table, row_keys, col_keys) in enumerate(groups):
+            if N == 2:
+                digits = np.bitwise_xor(row_keys[r0:r1, None], col_keys, out=k)
+            else:
+                np.add(row_keys[r0:r1, None], col_keys, out=k)
+                if table is None:  # one digit of a large N: its sum mod N directly
+                    digits = np.remainder(k, N, out=k)
+                else:
+                    digits = np.take(table, k, out=q, mode="clip")
+            if n:
+                i *= base
+                i += digits
+            else:
+                i[...] = digits
+        np.take(flat, i, out=out[r0:r1], mode="clip")
+    view[...] = out
+
+
 _KERNELS = {
     "add-const": _add_const,
     "add": _add,
     "mul": _mul,
+    "linear": _linear,
     "fourier": _fourier,
     "local-phase": _local_phase,
     "pair-phase": _pair_phase,
@@ -318,6 +434,10 @@ class StateVector:
     def mul(self, reg: int, a: int) -> "StateVector":
         """|x> -> |a x>, a invertible mod N."""
         return self._gate("mul", reg=reg, a=a)
+
+    def linear(self, M) -> "StateVector":
+        """|v> -> |M v>, M an L x L matrix invertible mod N."""
+        return self._gate("linear", M=M)
 
     def fourier(self, reg: int, inverse: bool = False) -> "StateVector":
         """|x> -> sum_y w^(xy) |y> / sqrt(N)."""
@@ -399,9 +519,31 @@ def _in_place(M: np.ndarray, p: int) -> list[tuple[str, dict]]:
     return undo[::-1]
 
 
-def _run(amp: np.ndarray, N: int, gates: list[tuple[str, dict]]) -> StateVector:
+def _compose(amp: np.ndarray, N: int, gates) -> np.ndarray:
+    """The matrix M, mod N, such that |v> -> |M v> is the action of the `add`
+    and `mul` gates on the registers of `amp`, each gate checked as its
+    kernel checks it."""
+    M = np.eye(amp.ndim, dtype=np.int64)
     for op_kind, params in gates:
-        _apply(amp, N, op_kind, **params)
+        if op_kind == "add":
+            src, dst, scale = _add_params(amp, **params)
+            M[dst] = (M[dst] + scale * M[src]) % N
+        else:
+            reg, a = _mul_params(amp, N, **params)
+            M[reg] = M[reg] * a % N
+    return M
+
+
+def _run(amp: np.ndarray, N: int, gates: list[tuple[str, dict]]) -> StateVector:
+    """Run `gates` on `amp` in place and return the state: each maximal
+    stretch of `add` and `mul` gates as one `linear` kernel call with the
+    matrix they compose to, every other gate as its own kernel call."""
+    for fused, stretch in itertools.groupby(gates, key=lambda gate: gate[0] in ("add", "mul")):
+        if fused:
+            _apply(amp, N, "linear", M=_compose(amp, N, stretch))
+        else:
+            for op_kind, params in stretch:
+                _apply(amp, N, op_kind, **params)
     return StateVector(N, amp.ndim, amp)
 
 
@@ -427,40 +569,53 @@ def _with_columns(size: int, rows, cols, values) -> np.ndarray:
     return M
 
 
+def encode_gates(parent: ConvCode, T: int) -> tuple[list[tuple[str, dict]], np.ndarray, int]:
+    """The encoder's gates on a T-block window, the register of each info
+    symbol and the number of registers L = n^2 T / k. With A and B the two
+    encoding matrices, one in-place pass puts A x on the dummy registers, a
+    Fourier transform on each makes the sum over P of w^((A x).P) |P>, and a
+    second pass maps P to B P."""
+    N = parent.p
+    A, B, dummy, regs = _layout(parent, T)
+    L = len(B)
+    gates = _in_place(_with_columns(L, dummy, regs, A), N)
+    gates += [("fourier", {"reg": int(r)}) for r in dummy]
+    gates += _in_place(_with_columns(L, range(L), dummy, B), N)
+    return gates, regs, L
+
+
 def encode(parent: ConvCode, info: Sequence[int]) -> StateVector:
     """Encode k T info qudits into n^2 T / k registers, block i on registers
-    i R .. (i + 1) R - 1, R = n^2 / k. With A and B the two encoding
-    matrices, one in-place pass puts A x on the dummy registers, a Fourier
-    transform on each makes the sum over P of w^((A x).P) |P>, and a second
-    pass maps P to B P."""
+    i R .. (i + 1) R - 1, R = n^2 / k, by the gates of `encode_gates`."""
     N, k = parent.p, parent.k
     x = field_symbols(info, N, "info symbols")
     if len(x) % k:
         raise ValueError(f"info length must be a multiple of k={k}")
-    A, B, dummy, regs = _layout(parent, len(x) // k)
-    L = len(B)
+    gates, regs, L = encode_gates(parent, len(x) // k)
     labels = np.zeros(L, dtype=np.int64)
     labels[regs] = x
-    gates = _in_place(_with_columns(L, dummy, regs, A), N)
-    gates += [("fourier", {"reg": int(r)}) for r in dummy]
-    gates += _in_place(_with_columns(L, range(L), dummy, B), N)
     return _run(_basis_amp(N, L, labels), N, gates)
 
 
-def decode_step(parent: ConvCode, state: StateVector) -> tuple[StateVector, StateVector]:
-    """Split block 1 (R = n^2 / k registers, info x1) off an encoded state:
-    returns |x1 on its info registers, 0 elsewhere> and the encoding of the
-    other blocks' info. With k | n, A = [[A11, 0], [A21, A22]] and B =
-    [[B11, 0], [B21, B22]] on block 1's dummies P1 and the tail's P'. One
-    pass leaves P1 on block 1's dummy registers, 0 on its others and B22 P'
-    on the tail; inverse Fourier transforms give |A11 x1>; the inverse of
-    block 1's first pass gives |x1>; and a pair phase per nonzero of u,
-    B22^T u = A21 e_a, removes the coupling w^(x1 . A21^T P')."""
-    N, k, n, L = parent.p, parent.k, parent.n, state.L
-    R = n * n // k
-    if n % k or state.N != N or not L or L % R:
+def _check_blocks(parent: ConvCode, N: int, L: int) -> None:
+    k, n, R = parent.k, parent.n, parent.n**2 // parent.k
+    if n % k or N != parent.p or not L or L % R:
         raise ValueError(f"decode_step needs k | n (k={k}, n={n}) and a state of whole "
-                         f"blocks of {R} registers over GF({N})")
+                         f"blocks of {R} registers over GF({parent.p})")
+
+
+def decode_gates(parent: ConvCode, L: int) -> tuple[list[tuple[str, dict]], np.ndarray]:
+    """The gates that split block 1 (R = n^2 / k registers) off an encoded
+    state of L registers, and the registers of block 1's info x1. With k | n,
+    A = [[A11, 0], [A21, A22]] and B = [[B11, 0], [B21, B22]] on block 1's
+    dummies P1 and the tail's P'. One pass leaves P1 on block 1's dummy
+    registers, 0 on its others and B22 P' on the tail; inverse Fourier
+    transforms give |A11 x1>; the inverse of block 1's first pass gives
+    |x1>; and a pair phase per nonzero of u, B22^T u = A21 e_a, removes the
+    coupling w^(x1 . A21^T P')."""
+    N, k, n = parent.p, parent.k, parent.n
+    _check_blocks(parent, N, L)
+    R = n * n // k
     A, B, dummy, regs = _layout(parent, L // R)
     d1, x1 = dummy[:n], regs[:k]
     split = _with_columns(L, range(L), d1, B[:, :n])
@@ -472,6 +627,16 @@ def decode_step(parent: ConvCode, state: StateVector) -> tuple[StateVector, Stat
         u = linalg.solve_localized(B[R:, n:].T, A[n:, a], N, center=0, halfwidth=R)
         gates += [("pair-phase", {"reg1": int(x1[a]), "reg2": R + int(s), "c": int(-u[s] % N)})
                   for s in np.flatnonzero(u)]
+    return gates, x1
+
+
+def decode_step(parent: ConvCode, state: StateVector) -> tuple[StateVector, StateVector]:
+    """Split block 1 (R = n^2 / k registers, info x1) off an encoded state by
+    the gates of `decode_gates`: returns |x1 on its info registers, 0
+    elsewhere> and the encoding of the other blocks' info."""
+    N, L, R = parent.p, state.L, parent.n**2 // parent.k
+    _check_blocks(parent, state.N, L)
+    gates, x1 = decode_gates(parent, L)
     rows = _run(state.amp.copy(), N, gates).amp.reshape(N**R, -1)
     weights = np.array([np.vdot(row, row).real for row in rows])
     top = int(np.argmax(weights))

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from qcclab import statevec
+
 
 def eq1_encoder_gates(T):
     """The flagship encoder's gates as a hand-written rate-1/4 circuit lists
@@ -404,4 +406,14 @@ def apply_pauli_by_registers(amp, op):
             view = amp.reshape(N**j, N, -1)
             view[...] = np.roll(view, int(op.x[j]), axis=1)
     amp *= np.exp(1j * np.pi / N) ** op.phase_exp
+    return amp
+
+
+def run_gates_one_by_one(amp, N, gates):
+    """The reference for `statevec._run`: each gate of `gates` applied by its
+    own kernel in `statevec._KERNELS`, one call per gate, on a copy of the
+    amplitude array `amp`. Returns the new array."""
+    amp = np.array(amp, dtype=np.complex128)
+    for kind, params in gates:
+        statevec._KERNELS[kind](amp, N, **params)
     return amp

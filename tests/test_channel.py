@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcclab import ConvCode, PolyMatrix, QccCode
+from qcclab import ConvCode, PolyMatrix, QccCode, linalg
 from qcclab import channel
 from qcclab.channel import measure_distance
 from qcclab.convcode import StateCapError
@@ -85,6 +85,22 @@ def test_count_overflow_raises(monkeypatch):
     monkeypatch.setattr(channel, "_COUNT_MAX", 2)
     with pytest.raises(ValueError, match="exceeds int64"):
         measure_distance(code_of(FLAGSHIP, 2, 8))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_interior_rows_are_the_minimal_span_form_of_their_reduced_form(p):
+    rng = np.random.default_rng([p, 428])
+    L, lo, hi = 7, 1, 6
+    for _ in range(20):
+        mat = rng.integers(0, p, (6, 2 * L)) * (rng.random((6, 2 * L)) < 0.4)
+        mat[1] = 0  # a zero row, and two rows dependent on the others
+        mat[4] = (mat[0] + 2 * mat[2]) % p
+        mat[5] = (p - 1) * mat[3] % p
+        rows = np.empty((len(mat), 2 * (hi - lo)), dtype=np.int64)
+        rows[:, 0::2] = mat[:, L + lo : L + hi]
+        rows[:, 1::2] = -mat[:, lo:hi] % p
+        want = linalg.minimal_span_basis(linalg.rref(rows, p)[0], p)
+        assert np.array_equal(channel._interior_rows(mat, L, lo, hi, p), want)
 
 
 def test_state_cap_raises(monkeypatch):

@@ -74,6 +74,11 @@ class TestTrellis:
         with pytest.raises(StateCapError):
             build_trellis(rate_half_parent, state_cap=2)
 
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, True])
+    def test_explicit_state_cap_must_be_a_positive_integer(self, rate_half_parent, cap):
+        with pytest.raises(StateCapError, match=f"must be a positive integer, got {cap!r}"):
+            build_trellis(rate_half_parent, state_cap=cap)
+
     def test_paths_reproduce_encoder(self, rate_half_parent):
         tr = build_trellis(rate_half_parent)
         rng = np.random.default_rng(2)

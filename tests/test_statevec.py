@@ -9,16 +9,23 @@ from qcclab.pauli import PauliWindow
 from qcclab.qcc import CodewordForm
 from qcclab.statevec import (
     StateVector,
+    decode_gates,
     decode_step,
     decode_step_eq1,
     encode,
     encode_eq1,
+    encode_gates,
     fidelity,
     flagship,
     verify_logical,
 )
 
-from oracles import apply_pauli_by_registers, closed_form_state, eq1_encoder_gates
+from oracles import (
+    apply_pauli_by_registers,
+    closed_form_state,
+    eq1_encoder_gates,
+    run_gates_one_by_one,
+)
 
 
 def _parent(p, taps):
@@ -54,6 +61,20 @@ def _infos(parent, T, count):
     K = parent.k * T
     return [(0,) * K] + [tuple(int(v) for v in rng.integers(0, parent.p, K))
                          for _ in range(count - 1)]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The kinds of the kernel calls that circuits make, in order."""
+    ran = []
+    apply = statevec._apply
+
+    def spy(amp, N, op_kind, **params):
+        ran.append(op_kind)
+        apply(amp, N, op_kind, **params)
+
+    monkeypatch.setattr(statevec, "_apply", spy)
+    return ran
 
 
 class TestElementaryOps:
@@ -161,6 +182,8 @@ def _dense_gate(N, L, kind, params):
             outs.append((y, w ** (params["a"] * x[params["reg"]])))
         elif kind == "pair-phase":
             outs.append((y, w ** (params["c"] * x[params["reg1"]] * x[params["reg2"]])))
+        elif kind == "linear":
+            outs.append((np.asarray(params["M"]) @ x % N, 1.0))
         for labels, amp in outs:
             U[np.ravel_multi_index(labels, (N,) * L), col] += amp
     return U
@@ -180,6 +203,13 @@ def _gate_cases(N, L):
         for c in values:
             yield "add", {"src": r1, "dst": r2, "scale": c}
             yield "pair-phase", {"reg1": r1, "reg2": r2, "c": c}
+    # a cyclic shift of the registers, a lower triangular matrix with N - 1
+    # on its diagonal, and their product
+    shift = np.roll(np.eye(L, dtype=np.int64), 1, axis=0)
+    lower = np.tril(np.ones((L, L), dtype=np.int64))
+    np.fill_diagonal(lower, N - 1)
+    for M in (shift, lower, shift @ lower % N):
+        yield "linear", {"M": M}
 
 
 class TestKernelContract:
@@ -204,19 +234,21 @@ class TestKernelContract:
     @pytest.mark.parametrize(
         "kind, circuit",
         [
-            ("add", lambda s: encode_eq1((1, 0, 1), 2, 3)),
+            pytest.param("linear", lambda s: encode_eq1((1, 0, 1), 2, 3),
+                         id="linear-p2"),
             ("fourier", lambda s: encode_eq1((1, 0, 1), 2, 3)),
             ("pair-phase",
              lambda s: decode_step(_parent(2, WIDE), encode(_parent(2, WIDE), (1, 0, 1, 1)))),
-            ("mul", lambda s: encode(_parent(3, PIVOTED[3]), (1, 2))),
+            pytest.param("linear", lambda s: encode(_parent(3, PIVOTED[3]), (1, 2)),
+                         id="linear-p3"),
             ("local-phase", lambda s: s.apply_pauli(PauliWindow.from_string("IZIZIIIIIIII"))),
             ("add-const", lambda s: s.apply_pauli(PauliWindow.from_string("IXIXIIIIIIII"))),
         ],
     )
     def test_norm_checked_after_every_gate_in_circuits(self, monkeypatch, kind, circuit):
-        # each circuit runs the gate at least twice; the first call must fail
-        # (the k=2 decode step runs three pair phases, the GF(3) encoder three
-        # multiplications)
+        # each circuit runs the kernel at least twice; the first call must fail
+        # (the k=2 decode step runs three pair phases, and each encoder runs
+        # its add and mul gates as two label-permutation kernels)
         state = encode_eq1((1, 0, 1), 2, 3)
         calls = []
 
@@ -279,22 +311,14 @@ class TestWholeLabelKernels:
                 else:
                     assert np.array_equal(got, want), (xn, phase)
 
-    def test_pauli_operator_is_at_most_two_kernel_calls(self, monkeypatch):
-        ran = []
-        apply = statevec._apply
-
-        def spy(amp, N, op_kind, **params):
-            ran.append(op_kind)
-            apply(amp, N, op_kind, **params)
-
-        monkeypatch.setattr(statevec, "_apply", spy)
+    def test_pauli_operator_is_at_most_two_kernel_calls(self, kernel_calls):
         state = StateVector.basis(2, 6, [0, 1, 1, 0, 0, 1])
         for label, kinds in [("IIIIII", []), ("ZZIZIZ", ["local-phase"]),
                              ("XIXXII", ["add-const"]),
                              ("XYZYXZ", ["local-phase", "add-const"])]:
-            ran.clear()
+            kernel_calls.clear()
             state.apply_pauli(PauliWindow.from_string(label))
-            assert ran == kinds, label
+            assert kernel_calls == kinds, label
 
 
 _STATE = StateVector.basis(2, 3, [0, 1, 0])
@@ -314,6 +338,24 @@ _INPUT_ERRORS = {
     "add-fractional-scale": (lambda: _STATE.add(0, 1, scale=1.5), TypeError, "scale"),
     "mul-fractional-multiplier": (lambda: _STATE.mul(0, 1.5), TypeError, "multiplier"),
     "pair-phase-fractional-c": (lambda: _STATE.pair_phase(0, 1, c=0.5), TypeError, "c must"),
+    "linear-fractional-matrix": (lambda: _STATE.linear(np.eye(3)), TypeError, "M must be integers"),
+    "linear-singular-matrix": (lambda: _STATE.linear([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+                               ValueError, "singular mod 2"),
+    "linear-wrong-shape": (lambda: _STATE.linear(np.eye(2, dtype=int)), ValueError, "3 x 3"),
+    # a circuit's stretch of add and mul gates checks each gate as its kernel does
+    "stretch-add-to-itself": (
+        lambda: statevec._run(_STATE.amp.copy(), 2, [("add", {"src": 1, "dst": 1})]),
+        ValueError, "must differ"),
+    "stretch-add-fractional-scale": (
+        lambda: statevec._run(_STATE.amp.copy(), 2, [("add", {"src": 0, "dst": 1, "scale": 0.5})]),
+        TypeError, "scale"),
+    "stretch-mul-by-zero": (
+        lambda: statevec._run(_STATE.amp.copy(), 2, [("add", {"src": 0, "dst": 1}),
+                                                     ("mul", {"reg": 2, "a": 2})]),
+        ValueError, "nonzero mod N"),
+    "stretch-register-out-of-range": (
+        lambda: statevec._run(_STATE.amp.copy(), 2, [("mul", {"reg": 3, "a": 1})]),
+        IndexError, "register 3 out of range"),
     "add-const-unequal-lengths": (lambda: _STATE.add_const([0, 1], [1]), ValueError,
                                   "equal-length"),
     "local-phase-sequence-and-integer": (lambda: _STATE.local_phase([0, 1], 1), ValueError,
@@ -538,20 +580,100 @@ class TestSynthesizedCircuits:
         with pytest.raises(ValueError, match="delay-0 taps are not of full rank"):
             encode(_parent(2, [[[0, 1], [0, 1, 1]]]), (1, 0))
 
-    def test_flagship_runs_the_hand_written_gates(self, monkeypatch):
-        ran = []
-        apply = statevec._apply
-
-        def spy(amp, N, op_kind, **params):
-            ran.append((op_kind, params))
-            apply(amp, N, op_kind, **params)
-
-        monkeypatch.setattr(statevec, "_apply", spy)
-        state = encode_eq1((1, 0, 1, 1, 0), 2, 5)
-        assert all(params.get("scale", 1) == 1 for _, params in ran)
-        got = [(kind, *(v for key, v in params.items() if key != "scale")) for kind, params in ran]
+    def test_flagship_runs_the_hand_written_gates(self, kernel_calls):
+        gates, _, L = encode_gates(flagship(2), 5)
+        assert all(params.get("scale", 1) == 1 for _, params in gates)
+        got = [(kind, *(v for key, v in params.items() if key != "scale"))
+               for kind, params in gates]
         assert Counter(got) == Counter(eq1_encoder_gates(5))
         assert Counter(gate[0] for gate in got) == {"add": 50, "fourier": 10}
-        ran.clear()
+        gates, _ = decode_gates(flagship(2), L)
+        assert Counter(kind for kind, _ in gates) == {"add": 9, "fourier": 2, "pair-phase": 1}
+
+        # each stretch of add gates runs as one label-permutation kernel
+        state = encode_eq1((1, 0, 1, 1, 0), 2, 5)
+        assert kernel_calls == ["linear"] + ["fourier"] * 10 + ["linear"]
+        kernel_calls.clear()
         decode_step_eq1(state, 2, 5)
-        assert Counter(kind for kind, _ in ran) == {"add": 9, "fourier": 2, "pair-phase": 1}
+        assert kernel_calls == ["linear", "fourier", "fourier", "linear", "pair-phase"]
+
+
+def _invertible(N, size, rng, zero_pivot=False):
+    """A random size x size matrix invertible mod N; with `zero_pivot`, and
+    size > 1, one whose first diagonal entry is 0."""
+    while True:
+        M = rng.integers(0, N, (size, size))
+        if (not zero_pivot or size == 1 or not M[0, 0]) and len(linalg.rref(M, N)[1]) == size:
+            return M
+
+
+def _on(L, regs, sub):
+    """The L x L identity with `sub` on the registers `regs`."""
+    M = np.eye(L, dtype=np.int64)
+    M[np.ix_(regs, regs)] = sub
+    return M
+
+
+class TestLabelPermutationKernel:
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_stretches_match_the_gates_one_by_one(self, N):
+        rng = np.random.default_rng([N, 7])
+        kinds = set()
+        for L in (1, 2, 5, 6, 7):
+            raw = rng.normal(size=(N,) * L) + 1j * rng.normal(size=(N,) * L)
+            amp = raw / np.linalg.norm(raw.ravel())
+            h = L // 2
+            maps = [_invertible(N, L, rng, zero_pivot=True) for _ in range(3)]
+            maps += [_on(L, range(h), _invertible(N, h, rng)),
+                     _on(L, range(h, L), _invertible(N, L - h, rng))]
+            lists = [[], statevec._in_place(maps[0], N) + [("fourier", {"reg": L - 1})]
+                     + statevec._in_place(maps[1], N)]
+            lists += [statevec._in_place(M, N) for M in maps[2:]]
+            for gates in lists:
+                kinds |= {(kind, params.get("scale") == N - 1) for kind, params in gates}
+                got = statevec._run(amp.copy(), N, gates).amp
+                assert np.array_equal(got, run_gates_one_by_one(amp, N, gates)), (L, gates)
+        # zero pivots add a lower row with scale N - 1; pivots other than 1 need a mul
+        assert ("add", True) in kinds
+        assert ("mul", False) in kinds or N == 2
+
+    def test_a_large_field_sums_each_digit_mod_N(self):
+        # 257^2 entries exceed a digit-sum table, so each digit is summed directly
+        N, rng = 257, np.random.default_rng(257)
+        raw = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        amp = raw / np.linalg.norm(raw.ravel())
+        gates = statevec._in_place([[0, 3], [5, 1]], N)
+        got = statevec._run(amp.copy(), N, gates).amp
+        assert np.array_equal(got, run_gates_one_by_one(amp, N, gates))
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_zero_registers_stay(self, N):
+        s = StateVector(N, 0, np.array(1j))
+        assert s.linear(np.zeros((0, 0), dtype=int)).amp == 1j
+
+    @pytest.mark.parametrize("p, taps, T", [
+        (2, [[[1, 0, 1], [1, 1, 1]]], 3),
+        (3, [[[1, 0, 1], [1, 1, 1]]], 3),
+        (5, [[[1, 0, 1], [1, 1, 1]]], 2),
+        (3, PIVOTED[3], 1),
+        (2, WIDE, 2),
+    ], ids=["flagship-p2", "flagship-p3", "flagship-p5", "rate-2/4-pivoted-p3", "rate-2/4-p2"])
+    def test_circuits_equal_their_gates_one_by_one(self, kernel_calls, p, taps, T):
+        parent = _parent(p, taps)
+        R = parent.n**2 // parent.k
+        info = _infos(parent, T, 2)[1]
+        gates, regs, L = encode_gates(parent, T)
+        labels = np.zeros(L, dtype=np.int64)
+        labels[regs] = info
+        state = encode(parent, info)
+        # both passes, their mul gates too, run as one label permutation each
+        dummies = sum(kind == "fourier" for kind, _ in gates)
+        assert kernel_calls == ["linear"] + ["fourier"] * dummies + ["linear"]
+        want = run_gates_one_by_one(StateVector.basis(p, L, labels).amp, p, gates)
+        assert np.array_equal(state.amp, want)
+        gates, _ = decode_gates(parent, L)
+        rows = run_gates_one_by_one(state.amp, p, gates).reshape(p**R, -1)
+        weights = np.array([np.vdot(row, row).real for row in rows])
+        top = int(np.argmax(weights))
+        _, rest = decode_step(parent, state)
+        assert np.array_equal(rest.amp.ravel(), rows[top] / np.sqrt(weights[top]))
