@@ -49,8 +49,11 @@ def size_cap(explicit: int | None, default: int) -> int:
 def field_symbols(values, p: int, what: str) -> np.ndarray:
     """`values` as an int64 array, or ValueError naming `what` unless they
     are integers in GF(p)."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "biu" or ((values < 0) | (values >= p)).any():
+    try:
+        values = np.asarray(values)
+    except ValueError:  # a ragged nesting has no array form
+        values = None
+    if values is None or values.dtype.kind not in "biu" or ((values < 0) | (values >= p)).any():
         raise ValueError(f"{what} must be integers in GF({p}), 0..{p - 1}")
     return values.astype(np.int64)
 
@@ -342,7 +345,10 @@ def viterbi_decode(
         raise ValueError(f"received length must be a positive multiple of n={n}")
     if traceback is not None and traceback < 1:
         raise ValueError("traceback depth must be >= 1")
-    rec = field_symbols(received, code.p, "received symbols").reshape(-1, n)
+    rec = field_symbols(received, code.p, "received symbols")
+    if rec.ndim != 1:
+        raise ValueError(f"received symbols must be one flat sequence, got shape {rec.shape}")
+    rec = rec.reshape(-1, n)
     T = rec.shape[0]
     if terminated and T <= m:
         raise ValueError("terminated stream shorter than the zero tail")

@@ -51,14 +51,6 @@ class PauliWindow:
         return cls(np.zeros(L), np.zeros(L), p)
 
     @classmethod
-    def single(cls, L: int, p: int, reg: int, x: int = 0, z: int = 0) -> "PauliWindow":
-        xv = np.zeros(L, dtype=np.int64)
-        zv = np.zeros(L, dtype=np.int64)
-        xv[reg] = x
-        zv[reg] = z
-        return cls(xv, zv, p)
-
-    @classmethod
     def from_string(cls, s: str, p: int = 2) -> "PauliWindow":
         """Parse an I/X/Z/Y string (p = 2 only)."""
         if p != 2:
@@ -212,10 +204,6 @@ class StabilizerWindow:
             raise ValueError("logical_x operators must mutually commute")
         if S[zs, zs].any():
             raise ValueError("logical_z operators must mutually commute")
-
-    @property
-    def n_logical(self) -> int:
-        return len(self.logical_x)
 
     def syndrome(self, error: PauliWindow) -> np.ndarray:
         """Symplectic product of the error with each generator, mod p."""

@@ -26,7 +26,7 @@ reference window of 4m + 6 blocks, whatever the window (`QccCode.templates`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -67,6 +67,16 @@ def encoding_matrix(code: ConvCode, n_blocks: int) -> np.ndarray:
     return M.reshape(n * n_blocks, k * n_blocks)
 
 
+def encoding_matrices(code: ConvCode, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """A and B of an n_blocks-block window: A, the `encoding_matrix` of the
+    window, takes the info symbols to n * n_blocks dummies, and B, that of
+    n * n_blocks / k blocks, takes the flattened dummies to the registers."""
+    k, n = code.k, code.n
+    if (n * n_blocks) % k:
+        raise ValueError(f"{n_blocks} blocks give {n * n_blocks} dummies, not a multiple of k={k}")
+    return encoding_matrix(code, n_blocks), encoding_matrix(code, n * n_blocks // k)
+
+
 def _generator_rows(A: np.ndarray, B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Bases of the X-type generators (B applied to the dual of im(A)) and
     of the Z-type generators (the dual of im(B)), each in minimal span
@@ -92,6 +102,11 @@ class QccCode:
 
     parent: ConvCode
     window_blocks: int
+    # A and B of `encoding_matrices`: the intermediate registers as a linear
+    # map of the info symbols, and the final registers as one of the dummy
+    # vector (one dummy per intermediate register, fed flat into the parent)
+    first_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    second_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         delay = _require_non_catastrophic(self.parent).delay
@@ -108,13 +123,11 @@ class QccCode:
                 f"k={k} does not divide n^2={n * n}, so a block of the parent "
                 f"has no whole number of registers"
             )
-        if (n * self.window_blocks) % k:
-            raise ValueError(
-                f"window of {self.window_blocks} blocks is incompatible with the "
-                f"second encoding; choose a multiple of k={k}"
-            )
         if self.window_blocks < self.parent.m + 1:
             raise ValueError("window must cover at least m + 1 parent blocks")
+        A, B = encoding_matrices(self.parent, self.window_blocks)
+        object.__setattr__(self, "first_matrix", A)
+        object.__setattr__(self, "second_matrix", B)
 
     @property
     def N(self) -> int:
@@ -133,18 +146,6 @@ class QccCode:
     @property
     def L(self) -> int:
         return self.regs_per_block * self.window_blocks
-
-    @cached_property
-    def first_matrix(self) -> np.ndarray:
-        """Intermediate registers as a linear map of info symbols."""
-        return encoding_matrix(self.parent, self.window_blocks)
-
-    @cached_property
-    def second_matrix(self) -> np.ndarray:
-        """Final registers as a linear map of the dummy vector (one dummy
-        per intermediate register, fed flat into the parent encoder)."""
-        n_mid = self.parent.n * self.window_blocks
-        return encoding_matrix(self.parent, n_mid // self.parent.k)
 
     @cached_property
     def stabilizer(self) -> StabilizerWindow:
@@ -292,15 +293,9 @@ class CodewordForm:
             if len(info) % parent.k:
                 raise ValueError("info length must be a multiple of k")
             n_blocks = len(info) // parent.k
-        n_mid = parent.n * n_blocks
-        if n_mid % parent.k:
-            raise ValueError(
-                f"{n_blocks} blocks give {n_mid} dummies, not a multiple of k={parent.k}"
-            )
         # A[r, j] couples dummy r to info symbol j; B[s, r] adds it to register s
-        A = encoding_matrix(parent, n_blocks)
-        B = encoding_matrix(parent, n_mid // parent.k)
-        L = B.shape[0]
+        A, B = encoding_matrices(parent, n_blocks)
+        n_mid, L = B.shape[1], B.shape[0]
         info = np.asarray(info, dtype=np.int64)
         if info.shape != (A.shape[1],):
             raise ValueError("info length does not match the window")

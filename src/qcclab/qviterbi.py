@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .convcode import StateCapError, field_symbols, size_cap, step_keys, viterbi
+from .convcode import StateCapError, field_symbols, group_candidates, size_cap, step_keys, viterbi
 from .pauli import PauliWindow, StabilizerWindow
 from .qcc import QccCode
 
@@ -189,10 +189,7 @@ class ErrorTrellis:
         # are the group's, each from one previous state
         n_new = p ** len(new)
         new_key = contrib[:, [keyed.index(g) for g in new]] @ p ** np.arange(len(new) - 1, -1, -1)
-        counts = np.bincount(new_key, minlength=n_new)
-        if counts.min() != counts.max():
-            raise AssertionError("trellis section whose next states differ in fan-in")
-        members = np.argsort(new_key, kind="stable").reshape(n_new, -1)
+        members = group_candidates(new_key, n_new)
 
         # previous state of every (new digits, candidate, open_prev digits),
         # one open_prev digit at a time from the last: the group's digit

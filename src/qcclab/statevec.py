@@ -1,39 +1,32 @@
 """Dense qudit state-vector engine for desk-scale circuit verification.
 
 Amplitudes are a C-contiguous complex128 array of shape (N,) * L with
-register j on axis j. Every elementary gate is one in-place kernel on such
-an array: constant and controlled additions, multiplications, discrete
-Fourier transforms, and local or two-register phase multiplications. A
-kernel validates its parameters before it writes, reshapes the array into
-views with the registers it acts on as separate axes, and writes back into
-the same buffer, so the layout stays contiguous.
+register j on axis j. Four in-place kernels act on it: `linear` permutes
+the labels, |v> -> |M v + a> for an L x L matrix M invertible mod N;
+`fourier` transforms one register; `local-phase` and `pair-phase` multiply
+by phases of one or two registers' labels. A kernel validates its
+parameters before it writes and writes back into the same buffer, so the
+layout stays contiguous. The gates `add-const`, `add` and `mul` have no
+kernel: a gate list runs each maximal stretch of them as one `linear` call
+with the affine map they compose to.
 
-The constant-addition and local-phase kernels also take a whole label:
-equal-length sequences of distinct registers and their shifts or phase
-multipliers. They view the amplitudes as an (N^h, N^(L-h)) matrix, h = L // 2,
-with registers 0..h-1 indexing the rows. X^x is then at most two gathers, one
-per axis, and Z^z at most two broadcast multiplies by per-half phase vectors,
-each built in O(N^h) steps from the half of x or z it serves.
-
-The label-permutation kernel `linear` takes |v> to |M v> for any L x L
-matrix M invertible mod N. It gathers the whole array in row chunks of the
-same view: the source label M^-1 u of each output label u is the digit-wise
-sum mod N of what its row half and its column half contribute, an exclusive
-or of two indices over GF(2) and read from small cached tables of digit-wise
-sums otherwise.
+`linear` and `local-phase` view the amplitudes as an (N^h, N^(L-h))
+matrix, h = L // 2, with registers 0..h-1 indexing the rows. When M keeps
+the two halves apart, as for X^x or a lone `mul`, `linear` is at most one
+gather per axis; otherwise it gathers in row chunks, the source label
+M^-1 (u - a) of each output label u being the digit-wise sum mod N of what
+u's two halves contribute (an exclusive or over GF(2), else read from small
+cached tables). Z^z is at most two broadcast multiplies by per-half phase
+vectors.
 
 `StateVector` is immutable: its gate methods copy the amplitudes once, run
-one kernel on the copy and return a new state. The circuits (`apply_pauli`,
+the gate on the copy and return a new state. The circuits (`apply_pauli`,
 `encode`, `decode_step`) run all their gates on one working buffer, with
-the norm checked after every kernel call, and build one `StateVector` at the
-end; a Pauli operator is two kernel calls, one local phase over the support
-of z and one constant addition over the support of x. A circuit runs each
-stretch of consecutive `add` and `mul` gates as one `linear` kernel call,
-with the matrix the gates compose to.
-`encode_gates` and `decode_gates` derive the gate lists for any parent from
-the encoding matrices of `qcc.encoding_matrix`; `encode` and `decode_step`
-run them, and `encode_eq1` and `decode_step_eq1` are their instance on the
-paper's flagship parent.
+the norm checked after every kernel call; a Pauli operator is a local phase
+over the support of z and a `linear` shift by x. `encode_gates` and
+`decode_gates` derive the gate lists for any parent from the matrices of
+`qcc.encoding_matrices`, and `encode_eq1` and `decode_step_eq1` run them on
+the paper's flagship parent.
 """
 
 from __future__ import annotations
@@ -48,7 +41,7 @@ from . import linalg
 from .convcode import ConvCode, StateCapError, field_symbols, size_cap
 from .gfpoly import PolyMatrix, is_prime
 from .pauli import PauliWindow
-from .qcc import encoding_matrix
+from .qcc import encoding_matrices
 
 DEFAULT_AMPLITUDE_CAP = 1 << 24
 NORM_TOL = 1e-10
@@ -148,15 +141,6 @@ def _halves(amp: np.ndarray, N: int) -> tuple[np.ndarray, int]:
     return amp.reshape(N**h, -1), h
 
 
-def _shifted_index(N: int, x: np.ndarray) -> np.ndarray:
-    """i[u] = the C-order index of the labels u - x mod N, for every label u
-    of len(x) registers in C order."""
-    index = np.zeros(1, dtype=np.intp)
-    for s in x:
-        index = (index[:, None] * N + (np.arange(N) - s) % N).ravel()
-    return index
-
-
 def _dot_exponent(N: int, z: np.ndarray) -> np.ndarray:
     """e[u] = z . u mod N, for every label u of len(z) registers in C order."""
     e = np.zeros(1, dtype=np.int64)
@@ -176,25 +160,6 @@ def _split2(amp: np.ndarray, N: int, lo: int, hi: int) -> np.ndarray:
     return amp.reshape(N**lo, N, N ** (hi - lo - 1), N, -1)
 
 
-def _add_const(amp: np.ndarray, N: int, reg: int | Sequence[int],
-               a: int | Sequence[int]) -> None:
-    """|x> -> |x + a> on one register, or |x> -> |x + a[i]> on each register
-    reg[i] of a sequence: at most one gather per half of the label."""
-    x = _label(amp, N, reg, a)
-    view, h = _halves(amp, N)
-    rows, cols = x[:h].any(), x[h:].any()
-    src = view
-    if rows:
-        src = np.take(view, _shifted_index(N, x[:h]), axis=0)
-    if cols:
-        # after a row gather the column gather reads that copy and writes into
-        # the view, saving one copy; clip mode leaves `out` unbuffered
-        src = np.take(src, _shifted_index(N, x[h:]), axis=1, mode="clip",
-                      out=view if rows else None)
-    if src is not view:
-        view[...] = src
-
-
 def _add_params(amp: np.ndarray, src: int, dst: int, scale: int = 1) -> tuple[int, int, int]:
     _check_reg(amp, src, dst)
     scale = _integer(scale, "scale")
@@ -209,29 +174,6 @@ def _mul_params(amp: np.ndarray, N: int, reg: int, a: int) -> tuple[int, int]:
     if a % N == 0:
         raise ValueError("multiplier must be nonzero mod N")
     return int(reg), a % N
-
-
-def _add(amp: np.ndarray, N: int, src: int, dst: int, scale: int = 1) -> None:
-    """|x, y> -> |x, y + scale * x> for registers (src, dst)."""
-    src, dst, scale = _add_params(amp, src, dst, scale)
-    view = _split2(amp, N, min(src, dst), max(src, dst))
-    for v in range(1, N):
-        shift = (scale * v) % N
-        if not shift:
-            continue
-        if src < dst:
-            part, axis = view[:, v], 2  # axes (before, between, dst, after)
-        else:
-            part, axis = view[:, :, :, v], 1  # axes (before, dst, between, after)
-        part[...] = np.roll(part, shift, axis=axis)
-
-
-def _mul(amp: np.ndarray, N: int, reg: int, a: int) -> None:
-    """|x> -> |a x>, a invertible mod N."""
-    reg, a = _mul_params(amp, N, reg, a)
-    a_inv = pow(a, N - 2, N)
-    view = _split1(amp, N, reg)
-    view[...] = view[:, [(a_inv * y) % N for y in range(N)]]
 
 
 def _fourier(amp: np.ndarray, N: int, reg: int, inverse: bool = False) -> None:
@@ -306,29 +248,47 @@ def _group_size(N: int, L: int) -> int:
     return g
 
 
-def _linear(amp: np.ndarray, N: int, M) -> None:
-    """|v> -> |M v> for an L x L matrix M invertible mod N: one gather, in
-    which output label u reads input label M^-1 u.
+def _linear(amp: np.ndarray, N: int, M, a=None) -> None:
+    """|v> -> |M v + a> for an L x L matrix M invertible mod N and a shift a
+    of L labels, zero by default: output label u reads input label M^-1 (u - a).
 
     On the (N^h, N^(L-h)) view the source label of u is the digit-wise sum
-    mod N of M^-1 (u_rows, 0) and M^-1 (0, u_cols). Over GF(2) that sum of
-    two indices is their exclusive or; otherwise the digits go in groups
-    small enough for a cached digit-wise sum table, and the source index is
-    built group by group. The index is built one chunk of rows at a time, so
-    no full-size index array exists; the chunks are gathered into one
-    scratch buffer that is copied back at the end."""
+    mod N of M^-1 (u_rows, 0) - M^-1 a and M^-1 (0, u_cols). When M keeps
+    the two halves apart, the first gives the source row and the second the
+    source column, so the gather is at most one per axis. Otherwise the
+    source index is built one chunk of rows at a time, so no full-size index
+    array exists: over GF(2) the sum of two indices is their exclusive or,
+    else the digits go in groups small enough for a cached digit-wise sum
+    table. The chunks are gathered into one scratch buffer that is copied
+    back at the end."""
     L = amp.ndim
-    M = _integers(M, "M")
+    M = _integers(M, "M") % N
     if M.shape != (L, L):
         raise ValueError(f"M must be a {L} x {L} matrix, got shape {M.shape}")
-    inv = linalg.solve(M % N, np.eye(L, dtype=np.int64), N)
+    inv = linalg.solve(M, np.eye(L, dtype=np.int64), N)
     if inv is None:
         raise ValueError(f"M is singular mod {N}")
     if not L:  # the one amplitude of zero registers has nowhere to go
         return
     view, h = _halves(amp, N)
-    from_rows = inv[:, :h] @ _labels_of(N, h) % N
-    from_cols = inv[:, h:] @ _labels_of(N, L - h) % N
+    c = np.zeros(L, dtype=np.int64) if a is None else -(inv @ a)  # source of label 0
+    u_rows, u_cols = _labels_of(N, h), _labels_of(N, L - h)
+    if not (M[:h, h:].any() or M[h:, :h].any()):
+        # so does M^-1: row u_rows reads row M^-1 (u_rows - a_rows), and
+        # column u_cols reads column M^-1 (u_cols - a_cols)
+        rows = N ** np.arange(h - 1, -1, -1) @ ((inv[:h, :h] @ u_rows + c[:h, None]) % N)
+        cols = N ** np.arange(L - h - 1, -1, -1) @ ((inv[h:, h:] @ u_cols + c[h:, None]) % N)
+        moved_rows = (rows != np.arange(len(rows))).any()
+        src = np.take(view, rows, axis=0) if moved_rows else view
+        if (cols != np.arange(len(cols))).any():
+            # after a row gather the column gather reads that copy and writes
+            # into the view, saving one copy; clip mode leaves `out` unbuffered
+            src = np.take(src, cols, axis=1, mode="clip", out=view if moved_rows else None)
+        if src is not view:
+            view[...] = src
+        return
+    from_rows = (inv[:, :h] @ u_rows + c[:, None]) % N
+    from_cols = inv[:, h:] @ u_cols % N
     g = _group_size(N, L)
     groups = []  # (place value, digit-sum table or None, row keys, column keys)
     for lo in range(0, L, g):
@@ -368,9 +328,6 @@ def _linear(amp: np.ndarray, N: int, M) -> None:
 
 
 _KERNELS = {
-    "add-const": _add_const,
-    "add": _add,
-    "mul": _mul,
     "linear": _linear,
     "fourier": _fourier,
     "local-phase": _local_phase,
@@ -417,9 +374,7 @@ class StateVector:
         return cls(N, L, _basis_amp(N, L, labels))
 
     def _gate(self, op_kind: str, **params) -> "StateVector":
-        out = self.amp.copy()
-        _apply(out, self.N, op_kind, **params)
-        return StateVector(self.N, self.L, out)
+        return _run(self.amp.copy(), self.N, [(op_kind, params)])
 
     # elementary operations -------------------------------------------------
 
@@ -453,17 +408,18 @@ class StateVector:
 
     def apply_pauli(self, op: PauliWindow) -> "StateVector":
         """Apply tau^phase X^x Z^z (Z first, then X) as two kernel calls: one
-        local phase over the registers where z is nonzero, then one constant
-        addition over those where x is nonzero. A zero part is skipped, and
-        so is the global phase when phase_exp is 0."""
+        local phase over the registers where z is nonzero, then the label
+        shift |v> -> |v + x>. A zero part is skipped, and so is the global
+        phase when phase_exp is 0."""
         if op.L != self.L or op.p != self.N:
             raise ValueError("operator does not match the state")
         N = self.N
         buf = self.amp.copy()
-        for op_kind, part in (("local-phase", op.z), ("add-const", op.x)):
-            regs = np.flatnonzero(part)
-            if len(regs):
-                _apply(buf, N, op_kind, reg=regs, a=part[regs])
+        regs = np.flatnonzero(op.z)
+        if len(regs):
+            _apply(buf, N, "local-phase", reg=regs, a=op.z[regs])
+        if op.x.any():
+            _apply(buf, N, "linear", M=np.eye(self.L, dtype=np.int64), a=op.x)
         if op.phase_exp:
             tau = np.exp(1j * np.pi / N)
             buf *= tau**op.phase_exp
@@ -519,28 +475,37 @@ def _in_place(M: np.ndarray, p: int) -> list[tuple[str, dict]]:
     return undo[::-1]
 
 
-def _compose(amp: np.ndarray, N: int, gates) -> np.ndarray:
-    """The matrix M, mod N, such that |v> -> |M v> is the action of the `add`
-    and `mul` gates on the registers of `amp`, each gate checked as its
-    kernel checks it."""
-    M = np.eye(amp.ndim, dtype=np.int64)
+# the gates that permute labels by an affine map, and have no kernel of their own
+_AFFINE = ("add-const", "add", "mul")
+
+
+def _compose(amp: np.ndarray, N: int, gates) -> tuple[np.ndarray, np.ndarray]:
+    """M and a, mod N, such that |v> -> |M v + a> is the action of the
+    `add-const`, `add` and `mul` gates on the registers of `amp`, each
+    gate's parameters checked before any amplitude moves."""
+    L = amp.ndim
+    Ma = np.eye(L, L + 1, dtype=np.int64)  # [M | a], transformed row by row
     for op_kind, params in gates:
         if op_kind == "add":
             src, dst, scale = _add_params(amp, **params)
-            M[dst] = (M[dst] + scale * M[src]) % N
-        else:
+            Ma[dst] = (Ma[dst] + scale * Ma[src]) % N
+        elif op_kind == "mul":
             reg, a = _mul_params(amp, N, **params)
-            M[reg] = M[reg] * a % N
-    return M
+            Ma[reg] = Ma[reg] * a % N
+        else:
+            Ma[:, L] = (Ma[:, L] + _label(amp, N, **params)) % N
+    return Ma[:, :L], Ma[:, L]
 
 
 def _run(amp: np.ndarray, N: int, gates: list[tuple[str, dict]]) -> StateVector:
     """Run `gates` on `amp` in place and return the state: each maximal
-    stretch of `add` and `mul` gates as one `linear` kernel call with the
-    matrix they compose to, every other gate as its own kernel call."""
-    for fused, stretch in itertools.groupby(gates, key=lambda gate: gate[0] in ("add", "mul")):
+    stretch of `add-const`, `add` and `mul` gates as one `linear` kernel
+    call with the affine map they compose to, every other gate as its own
+    kernel call."""
+    for fused, stretch in itertools.groupby(gates, key=lambda gate: gate[0] in _AFFINE):
         if fused:
-            _apply(amp, N, "linear", M=_compose(amp, N, stretch))
+            M, a = _compose(amp, N, stretch)
+            _apply(amp, N, "linear", M=M, a=a)
         else:
             for op_kind, params in stretch:
                 _apply(amp, N, op_kind, **params)
@@ -555,11 +520,9 @@ def _layout(parent: ConvCode, T: int):
     S = np.array(linalg.rref(parent.taps()[0], parent.p)[1], dtype=np.int64)
     if len(S) < k:
         raise ValueError("the parent's delay-0 taps are not of full rank")
-    if (n * T) % k:
-        raise ValueError(f"{T} blocks give {n * T} dummies, not a multiple of k={k}")
+    A, B = encoding_matrices(parent, T)
     dummy = np.arange(n * T) // k * n + S[np.arange(n * T) % k]
-    return (encoding_matrix(parent, T), encoding_matrix(parent, n * T // k),
-            dummy, dummy[dummy[: k * T]])
+    return A, B, dummy, dummy[dummy[: k * T]]
 
 
 def _with_columns(size: int, rows, cols, values) -> np.ndarray:

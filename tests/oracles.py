@@ -1,8 +1,28 @@
 """Independent oracles shared by the test modules.
 
-These deliberately avoid the package's own encoding paths: states come
-from direct summation over dummy assignments, distances from exhaustive
-enumeration.
+Each oracle reaches its answer another way than the code it checks:
+states by direct summation over dummy assignments, weights and distances
+by exhaustive enumeration, Pauli operators and gates one register or one
+gate at a time, decoding one trial or one argmin at a time. Some call
+package code for a step they do not check; that code has tests of its own,
+and a fault in it would show in another result:
+
+  * the enumerations and `solve_localized_by_trimming` take particular
+    solutions and kernel bases from `linalg.solve` and `linalg.kernel`, and
+    `kernel_by_loop`, the reference for `linalg.kernel`, reads `linalg.rref`;
+    `test_linalg` checks `solve` against numpy and the kernel against the loop;
+  * `section_tables_by_sorting` keys every (state, branch) pair its own way,
+    but enumerates words with `qviterbi._digits`, groups the keys with
+    `convcode.group_candidates` (one stable argsort) and forms step keys with
+    `convcode.step_keys`, as the trellis does; a fault there would break the
+    decoders' agreement with `min_weight_for_syndrome`;
+  * `trials_by_reference` decodes by `qva_decode`, which `test_qviterbi`
+    checks against the exhaustive searches here;
+  * `first_stabilizer_violation` pairs operators by `PauliWindow.sym_product`,
+    which `test_pauli` checks on operators with known products;
+  * `run_gates_one_by_one` moves amplitudes itself for the label-permuting
+    gates, the only ones `statevec._run` fuses, and runs every other gate by
+    its own kernel, which `test_statevec` checks against dense matrices.
 """
 
 import itertools
@@ -410,10 +430,27 @@ def apply_pauli_by_registers(amp, op):
 
 
 def run_gates_one_by_one(amp, N, gates):
-    """The reference for `statevec._run`: each gate of `gates` applied by its
-    own kernel in `statevec._KERNELS`, one call per gate, on a copy of the
-    amplitude array `amp`. Returns the new array."""
+    """The reference for `statevec._run`: the gates applied one at a time to
+    a copy of the amplitude array `amp`; returns the new array. An
+    `add-const`, `add` or `mul` gate moves each amplitude to the image of
+    its label by the gate's definition; any other gate runs its own kernel
+    from `statevec._KERNELS`, as `_run` does."""
     amp = np.array(amp, dtype=np.complex128)
+    labels = list(np.indices(amp.shape).reshape(amp.ndim, -1))
     for kind, params in gates:
-        statevec._KERNELS[kind](amp, N, **params)
+        if kind not in ("add-const", "add", "mul"):
+            statevec._KERNELS[kind](amp, N, **params)
+            continue
+        image = list(labels)
+        if kind == "add":
+            dst = params["dst"]
+            image[dst] = (labels[dst] + params.get("scale", 1) * labels[params["src"]]) % N
+        elif kind == "mul":
+            image[params["reg"]] = params["a"] * labels[params["reg"]] % N
+        else:
+            for reg, a in zip(np.atleast_1d(params["reg"]), np.atleast_1d(params["a"])):
+                image[reg] = (labels[reg] + a) % N
+        moved = np.empty_like(amp)
+        moved[tuple(image)] = amp.ravel()
+        amp = moved
     return amp

@@ -59,8 +59,10 @@ def test_simulate_smallest_window_runs(flagship_file, capsys):
     ["--received", "[1.5, 0, 0, 0, 0, 0]"],
     ["--received", "[0, 0, 0, 0, 0, 0]", "--state-cap", "-5"],
     ["--received", "[0, 0, 0, 0, 0, 0]", "--state-cap", "0"],
+    ["--received", "[[1, 1, 0], [1, 1, 1]]"],
 ], ids=["state-cap", "length-not-multiple-of-n", "traceback-0", "symbol-above-p",
-        "negative-symbol", "fractional-symbol", "negative-state-cap", "zero-state-cap"])
+        "negative-symbol", "fractional-symbol", "negative-state-cap", "zero-state-cap",
+        "nested-received-word"])
 def test_viterbi_input_errors_exit_2_with_one_line(flagship_file, capsys, extra):
     assert main(["viterbi", "--code", flagship_file, *extra]) == EXIT_INPUT
     captured = capsys.readouterr()

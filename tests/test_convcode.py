@@ -155,6 +155,15 @@ class TestViterbi:
         with pytest.raises(ValueError):
             viterbi_decode(tr, [0, 1, 0])
 
+    def test_nested_received_word_is_rejected(self, rate_half_parent):
+        # two rows of three symbols: a whole number of n=2 blocks by length
+        tr = build_trellis(rate_half_parent)
+        with pytest.raises(ValueError, match="received symbols must be one flat sequence"):
+            viterbi_decode(tr, [[1, 1, 0], [1, 1, 1]])
+        # rows of unequal length have no array form at all
+        with pytest.raises(ValueError, match="received symbols must be integers in GF\\(2\\)"):
+            viterbi_decode(tr, [[1], [1, 1]])
+
     def test_streaming_matches_block_decode_on_isolated_errors(self, rate_half_parent):
         tr = build_trellis(rate_half_parent)
         info = [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]

@@ -221,6 +221,12 @@ def test_solve_localized_of_zero_and_of_an_inconsistent_system():
             solve(M, [0, 0, 1], 3, 1, 1)
 
 
+@pytest.mark.parametrize("window", [1, -1])
+def test_window_below_m_plus_one_blocks_is_rejected(window):
+    with pytest.raises(ValueError, match="window must cover at least m \\+ 1 parent blocks"):
+        QccCode(flagship(2), window)
+
+
 def test_parent_with_delay_is_rejected():
     parent = ConvCode(PolyMatrix.from_coeffs([[[0, 1], [0, 1, 1]]], 2))
     with pytest.raises(ValueError, match="delay D\\^1"):

@@ -51,6 +51,8 @@ SYNTH = {
     "rate-2/4-pivoted-p2": (lambda: _parent(2, PIVOTED[2]), 2),
     "rate-2/4-pivoted-p3": (lambda: _parent(3, PIVOTED[3]), 1),
 }
+# a rate-2/3 parent: k=2 divides neither n=3 nor the dummies of an odd window
+ODD = {"p": 2, "k": 2, "n": 3, "G": [[[1, 1], [1, 0], [1, 0]], [[1], [0, 1], [1, 0]]]}
 # the cases whose T-block window `QccCode` accepts: two with k=2, two over GF(3)
 WINDOWED = ["flagship-p3", "1+D,1+D^2-p3", "rate-2/4-p2", "rate-2/4-pivoted-p2"]
 
@@ -183,7 +185,7 @@ def _dense_gate(N, L, kind, params):
         elif kind == "pair-phase":
             outs.append((y, w ** (params["c"] * x[params["reg1"]] * x[params["reg2"]])))
         elif kind == "linear":
-            outs.append((np.asarray(params["M"]) @ x % N, 1.0))
+            outs.append(((np.asarray(params["M"]) @ x + params.get("a", 0)) % N, 1.0))
         for labels, amp in outs:
             U[np.ravel_multi_index(labels, (N,) * L), col] += amp
     return U
@@ -210,6 +212,13 @@ def _gate_cases(N, L):
     np.fill_diagonal(lower, N - 1)
     for M in (shift, lower, shift @ lower % N):
         yield "linear", {"M": M}
+    # shifts by a: with M = I, with an M that keeps register 0 and registers
+    # 1..2 apart, and with one that mixes them
+    apart = np.eye(L, dtype=np.int64)
+    apart[0, 0], apart[2, 1] = N - 1, 1
+    for M in (np.eye(L, dtype=np.int64), apart, lower):
+        for a in ([1, 0, 0], [0, N - 1, 1], [1, 1, N - 1]):
+            yield "linear", {"M": M, "a": np.array(a)}
 
 
 class TestKernelContract:
@@ -223,13 +232,15 @@ class TestKernelContract:
         kinds = set()
         for kind, params in _gate_cases(N, L):
             want = _dense_gate(N, L, kind, params) @ before.ravel()
-            method = getattr(s, kind.replace("-", "_"))
-            for out in (s._gate(kind, **params), method(**params)):
+            outs = [s._gate(kind, **params)]
+            if not (kind == "linear" and "a" in params):  # the method takes no shift
+                outs.append(getattr(s, kind.replace("-", "_"))(**params))
+            for out in outs:
                 assert np.allclose(out.amp.ravel(), want, atol=1e-12), (kind, params)
                 assert out.amp.flags.c_contiguous, (kind, params)
                 assert np.array_equal(s.amp, before), (kind, params)
             kinds.add(kind)
-        assert kinds == set(statevec._KERNELS)
+        assert kinds == set(statevec._KERNELS) | set(statevec._AFFINE)
 
     @pytest.mark.parametrize(
         "kind, circuit",
@@ -242,13 +253,15 @@ class TestKernelContract:
             pytest.param("linear", lambda s: encode(_parent(3, PIVOTED[3]), (1, 2)),
                          id="linear-p3"),
             ("local-phase", lambda s: s.apply_pauli(PauliWindow.from_string("IZIZIIIIIIII"))),
-            ("add-const", lambda s: s.apply_pauli(PauliWindow.from_string("IXIXIIIIIIII"))),
+            pytest.param("linear",
+                         lambda s: s.apply_pauli(PauliWindow.from_string("IXIXIIIIIIII")),
+                         id="linear-pauli"),
         ],
     )
     def test_norm_checked_after_every_gate_in_circuits(self, monkeypatch, kind, circuit):
-        # each circuit runs the kernel at least twice; the first call must fail
-        # (the k=2 decode step runs three pair phases, and each encoder runs
-        # its add and mul gates as two label-permutation kernels)
+        # the first kernel call must fail, and the circuit stop there: the k=2
+        # decode step runs three pair phases, each encoder its add and mul
+        # gates as two label-permutation kernels, a Pauli operator each part once
         state = encode_eq1((1, 0, 1), 2, 3)
         calls = []
 
@@ -262,8 +275,8 @@ class TestKernelContract:
         assert len(calls) == 1
 
     def test_norm_checked_after_the_shift_of_an_operator_with_x_and_z_parts(self, monkeypatch):
-        # the local phase runs first and passes its check; the leaky constant
-        # addition over registers 1 and 3 must fail on its first call
+        # the local phase runs first and passes its check; the leaky label
+        # shift by x, nonzero on registers 1 and 3, must fail on its first call
         state = encode_eq1((1, 0, 1), 2, 3)
         calls = []
 
@@ -271,11 +284,12 @@ class TestKernelContract:
             calls.append(params)
             amp *= 1 + 1e-6
 
-        monkeypatch.setitem(statevec._KERNELS, "add-const", leaky)
+        monkeypatch.setitem(statevec._KERNELS, "linear", leaky)
         with pytest.raises(ValueError, match="norm"):
             state.apply_pauli(PauliWindow.from_string("IYIXZIIIIIIZ"))
         assert len(calls) == 1
-        assert np.asarray(calls[0]["reg"]).tolist() == [1, 3]
+        assert np.array_equal(calls[0]["M"], np.eye(12))
+        assert np.flatnonzero(calls[0]["a"]).tolist() == [1, 3]
 
 
 def _labels(N, L, rng):
@@ -314,8 +328,8 @@ class TestWholeLabelKernels:
     def test_pauli_operator_is_at_most_two_kernel_calls(self, kernel_calls):
         state = StateVector.basis(2, 6, [0, 1, 1, 0, 0, 1])
         for label, kinds in [("IIIIII", []), ("ZZIZIZ", ["local-phase"]),
-                             ("XIXXII", ["add-const"]),
-                             ("XYZYXZ", ["local-phase", "add-const"])]:
+                             ("XIXXII", ["linear"]),
+                             ("XYZYXZ", ["local-phase", "linear"])]:
             kernel_calls.clear()
             state.apply_pauli(PauliWindow.from_string(label))
             assert kernel_calls == kinds, label
@@ -562,14 +576,21 @@ class TestSynthesizedCircuits:
                 assert fidelity(rest, encode(parent, info[k:])) >= 1 - 1e-9, info
 
     def test_decode_step_needs_k_to_divide_n_and_whole_blocks(self):
-        odd = ConvCode.from_json(
-            {"p": 2, "k": 2, "n": 3, "G": [[[1, 1], [1, 0], [1, 0]], [[1], [0, 1], [1, 0]]]})
+        odd = ConvCode.from_json(ODD)
         with pytest.raises(ValueError, match="k \\| n \\(k=2, n=3\\)"):
             decode_step(odd, encode(odd, (1, 0, 1, 1)))
         with pytest.raises(ValueError, match="whole blocks of 4 registers over GF\\(2\\)"):
             decode_step(flagship(2), StateVector.basis(2, 6, [0] * 6))
         with pytest.raises(ValueError, match="whole blocks"):
             decode_step(flagship(3), encode(flagship(2), (1, 0)))
+
+    def test_a_window_needs_a_multiple_of_k_dummies(self):
+        odd = ConvCode.from_json(ODD)
+        message = "1 blocks give 3 dummies, not a multiple of k=2"
+        with pytest.raises(ValueError, match=message):
+            encode(odd, (1, 0))
+        with pytest.raises(ValueError, match=message):
+            CodewordForm(odd).amplitudes((1, 0), 1)
 
     def test_encode_rejects_bad_info(self):
         with pytest.raises(ValueError, match="multiple of k=2"):
@@ -629,6 +650,9 @@ class TestLabelPermutationKernel:
             lists = [[], statevec._in_place(maps[0], N) + [("fourier", {"reg": L - 1})]
                      + statevec._in_place(maps[1], N)]
             lists += [statevec._in_place(M, N) for M in maps[2:]]
+            # shifts before and after a stretch: its affine part moves with it
+            lists.append([("add-const", {"reg": list(range(L)), "a": list(range(1, L + 1))})]
+                         + statevec._in_place(maps[2], N) + [("add-const", {"reg": 0, "a": 1})])
             for gates in lists:
                 kinds |= {(kind, params.get("scale") == N - 1) for kind, params in gates}
                 got = statevec._run(amp.copy(), N, gates).amp
@@ -636,6 +660,7 @@ class TestLabelPermutationKernel:
         # zero pivots add a lower row with scale N - 1; pivots other than 1 need a mul
         assert ("add", True) in kinds
         assert ("mul", False) in kinds or N == 2
+        assert ("add-const", False) in kinds
 
     def test_a_large_field_sums_each_digit_mod_N(self):
         # 257^2 entries exceed a digit-sum table, so each digit is summed directly
