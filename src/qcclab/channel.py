@@ -13,8 +13,12 @@ order numpy's `Generator` reads them, so every trial's error equals
 
 `run_trials` decodes each distinct syndrome once and counts logical errors
 against payload qubits, the logical pairs whose operators sit clear of
-both window edges (`_interior`); `measure_distance` searches the same
-interior by default.
+both window edges (`_interior`). `measure_distance` counts operators on
+the same interior by default, on the decoder's own `ErrorTrellis`: one
+(+, ×) pass over the syndrome-free group of each section gives the number
+of operators of each weight that the rows annihilate, for the generators
+and for the generators with the logicals, and the window's d and A_d are
+where the two counts first differ.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .convcode import StateCapError, size_cap
 from .pauli import PauliWindow
 from .qcc import QccCode
-from .qviterbi import DEFAULT_STATE_CAP, ErrorTrellis, batch_decode, build_error_trellis
+from .qviterbi import ErrorTrellis, batch_decode, build_error_trellis
 
 # trials sampled, decoded and classified together by `run_trials`
 CHUNK = 2048
@@ -362,7 +365,7 @@ def run_trials(
     if trellis is None:
         trellis = build_error_trellis(code)
     elif ((trellis.p, trellis.block_regs) != (code.N, code.regs_per_block)
-          or not np.array_equal(trellis.stab._gen_matrix, stab._gen_matrix)):
+          or not np.array_equal(np.hstack([trellis.gen_x, trellis.gen_z]), stab._gen_matrix)):
         raise ValueError("the error trellis was built for a different code")
     payload = payload_indices(code)
     L, p = code.L, code.N
@@ -425,88 +428,64 @@ class DistanceReport:
     interior: tuple[int, int]
 
 
-def _interior_rows(mat: np.ndarray, L: int, lo: int, hi: int, p: int) -> np.ndarray:
-    """The symplectic rows `mat` (x | z over L registers) as functionals on
-    an operator supported on [lo, hi): z on x_j and -x on z_j, interleaved
-    per register, with zero and dependent rows dropped, in minimal span
-    form."""
-    rows = np.empty((len(mat), 2 * (hi - lo)), dtype=np.int64)
-    rows[:, 0::2] = mat[:, L + lo : L + hi]
-    rows[:, 1::2] = -mat[:, lo:hi] % p
-    rows = linalg.rref(rows, p)[0]
-    return linalg.shorten_ends(rows, p) if len(rows) else rows
+def _interior_bases(gens: np.ndarray, logs: np.ndarray, L: int, lo: int, hi: int, p: int):
+    """The (x | z) rows `gens`, and `gens` with `logs`, over L registers,
+    restricted to the registers [lo, hi): bases G and J of their spans, as
+    (x | z) rows over those registers, each in minimal span form over the
+    interleaved (x_j, z_j) columns. Each is `distinct_starts`, then
+    `shorten_ends`: both only shorten rows, so banded rows stay banded and
+    no dense elimination runs; J starts from G's rows."""
+    w = hi - lo
+
+    def minimal_span(rows):
+        return linalg.shorten_ends(linalg.distinct_starts(rows, p), p)
+
+    def interleaved(mat):
+        rows = np.empty((len(mat), 2 * w), dtype=np.int64)
+        rows[:, 0::2], rows[:, 1::2] = mat[:, lo:hi], mat[:, L + lo : L + hi]
+        return rows
+
+    G = minimal_span(interleaved(gens))
+    J = minimal_span(np.concatenate([G, interleaved(logs)]))
+    xz = np.r_[0 : 2 * w : 2, 1 : 2 * w : 2]  # back to (x | z) columns
+    return G[:, xz], J[:, xz]
 
 
-# path counts are exact int64; a sum past this raises instead of wrapping
+# operator counts are exact int64; a sum past this raises instead of wrapping
 _COUNT_MAX = int(np.iinfo(np.int64).max)
 
 
-def _min_weight_count(gens: np.ndarray, logs: np.ndarray, p: int):
-    """(least weight, number of operators of that weight) among operators
-    on the registers of the interleaved rows that every row of `gens`
-    annihilates and some row of `logs` does not; None when there is none.
+def _weight_counts(trellis: ErrorTrellis, cap: int) -> np.ndarray:
+    """N(w) for w in [0, cap]: how many operators of weight w on the
+    trellis's registers every row annihilates. One (+, ×) pass over each
+    section's syndrome-free group, whose candidates close every row at 0;
+    a state holds its counts over weights, and a candidate of weight u
+    adds its previous state's counts shifted up by u. Raises ValueError
+    when a count would pass int64."""
+    weights = np.arange(cap + 1)
 
-    One forward pass in the (min, count) semiring over a trellis with one
-    section per register and its p^2 values (x, z) as branches, of weight
-    1 unless both are 0. A state holds the partial values of the rows open
-    across the boundary and a flag: a generator row must close at 0, and a
-    logical row closing at a nonzero value sets the flag. Paths and
-    operators correspond one to one, so the flagged final state holds the
-    answer. Minimal span form keeps the open rows few. Raises
-    StateCapError when a section would have more candidates (reached
-    states times branches) than the trellis state cap."""
-    rows = np.concatenate([gens, logs])
-    is_log = np.arange(len(rows)) >= len(gens)
-    n_regs = rows.shape[1] // 2
-    nz = rows != 0
-    first = nz.argmax(axis=1) // 2
-    last = (rows.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)) // 2
-    bx, bz = np.divmod(np.arange(p * p), p)
-    branch_wt = ((bx != 0) | (bz != 0)).astype(np.int64)
-    # the reached states only, each as flag + 2 * (values of the open rows
-    # in base p, first row lowest), with its least weight and path count
-    open_rows = np.zeros(0, dtype=np.int64)
-    state = np.zeros(1, dtype=np.int64)
-    wt = np.zeros(1, dtype=np.int64)
-    count = np.ones(1, dtype=np.int64)
-    cap = size_cap(None, DEFAULT_STATE_CAP)
-    for j in range(n_regs):
-        if len(state) * p * p > cap:
-            raise StateCapError(f"{len(state)} distance trellis states times {p * p} "
-                                f"branches exceed cap {cap}")
-        active = np.concatenate([open_rows, np.nonzero(first == j)[0]])
-        before = np.zeros((len(state), len(active)), dtype=np.int64)
-        before[:, : len(open_rows)] = state[:, None] // 2 // p ** np.arange(len(open_rows)) % p
-        closing = last[active] == j
-        gen_closing, log_closing = closing & ~is_log[active], closing & is_log[active]
-        open_rows = active[~closing]
-        place = p ** np.arange(len(open_rows))
-        flag = state % 2
-        ok = np.empty((len(state), p * p), dtype=bool)
-        keys = np.empty((len(state), p * p), dtype=np.int64)
-        for b in range(p * p):
-            vals = (before + bx[b] * rows[active, 2 * j] + bz[b] * rows[active, 2 * j + 1]) % p
-            ok[:, b] = ~vals[:, gen_closing].any(axis=1)
-            acted = flag | vals[:, log_closing].any(axis=1)
-            keys[:, b] = acted + 2 * (vals[:, ~closing] @ place)
-        s_idx, b_idx = np.nonzero(ok)
-        state, keys = np.unique(keys[s_idx, b_idx], return_inverse=True)
-        cand_wt = wt[s_idx] + branch_wt[b_idx]
-        cand_count = count[s_idx]
-        wt = np.full(len(state), n_regs + 1)  # above every weight
-        np.minimum.at(wt, keys, cand_wt)
-        at_min = cand_wt == wt[keys]
-        keys, cand_count = keys[at_min], cand_count[at_min]
-        if int(cand_count.max()) * int(np.bincount(keys).max()) > _COUNT_MAX:
-            exact = np.zeros(len(state), dtype=object)
-            np.add.at(exact, keys, cand_count.astype(object))
-            if max(exact) > _COUNT_MAX:
-                raise ValueError("number of minimum-weight operators exceeds int64")
-        count = np.zeros(len(state), dtype=np.int64)
-        np.add.at(count, keys, cand_count)
-    if state[-1] != 1:
-        return None
-    return int(wt[-1]), int(count[-1])
+    def step(counts, src, wt):
+        # zero counts below weight 0, so a shift reads its padding
+        pad = int(wt.max())
+        padded = np.zeros((len(counts), pad + cap + 1), dtype=counts.dtype)
+        padded[:, pad:] = counts
+        at = (src * padded.shape[1] + pad - wt)[..., None] + weights
+        out = padded.ravel()[at[:, 0]]
+        for f in range(1, src.shape[1]):
+            out += padded.ravel()[at[:, f]]
+        return out
+
+    counts = np.zeros((1, cap + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for tab in trellis._sections:
+        src = tab["src"][0].astype(np.int64)
+        # a step key is weight * (states x branches) + branch
+        wt = tab["step"][tab["step_row"][0]] // (len(counts) * len(tab["bx"]))
+        if int(counts.max()) * src.shape[1] > _COUNT_MAX:
+            if step(counts.astype(object), src, wt).max() > _COUNT_MAX:
+                raise ValueError("number of syndrome-free operators exceeds int64")
+        counts = step(counts, src, wt)
+    return counts[0]
 
 
 def measure_distance(code: QccCode, interior: tuple[int, int] | None = None) -> DistanceReport:
@@ -514,11 +493,15 @@ def measure_distance(code: QccCode, interior: tuple[int, int] | None = None) -> 
     supported on the interior register range [lo, hi), and the number of
     such Paulis of weight d; window-truncated.
 
-    The result is exact, from one (min, count) pass over a trellis of the
-    generators and of all logicals restricted to the interior, sectioned
-    by register (`_min_weight_count`). There is no cap on the size of the
-    syndrome-free space; only a pass that would exceed the trellis state
-    cap raises StateCapError. The default interior is `_interior(code)`."""
+    The result is exact. The generators, and the generators with all
+    logicals, restricted to the interior give two bases G and J
+    (`_interior_bases`), each an `ErrorTrellis` with one register per
+    section. The operators J annihilates are those G annihilates that act
+    on no logical, so d is the least weight at which their counts
+    (`_weight_counts`) differ, and the difference there is the count at d.
+    Counts run up to a weight cap of 4, doubled until they differ. A
+    trellis over the state cap raises StateCapError. The default interior
+    is `_interior(code)`."""
     stab = code.stabilizer
     L, p = code.L, code.N
     lo, hi = interior if interior is not None else _interior(code)
@@ -529,8 +512,15 @@ def measure_distance(code: QccCode, interior: tuple[int, int] | None = None) -> 
 
     logicals = np.array([op.symplectic() for op in stab.logical_z + stab.logical_x],
                         dtype=np.int64).reshape(-1, 2 * L)
-    found = _min_weight_count(_interior_rows(stab._gen_matrix, L, lo, hi, p),
-                              _interior_rows(logicals, L, lo, hi, p), p)
-    if found is None:
+    G, J = _interior_bases(stab._gen_matrix, logicals, L, lo, hi, p)
+    if len(J) == len(G):
         raise ValueError("no logically acting operator in the interior range")
-    return DistanceReport(*found, (lo, hi))
+    trellises = ErrorTrellis(G, p, 1), ErrorTrellis(J, p, 1)
+    cap = 4
+    while True:
+        n_G, n_J = (_weight_counts(t, cap) for t in trellises)
+        differ = np.flatnonzero(n_G != n_J)
+        if len(differ):
+            d = int(differ[0])
+            return DistanceReport(d, int(n_G[d] - n_J[d]), (lo, hi))
+        cap *= 2

@@ -119,9 +119,9 @@ def encode_stream(code: ConvCode, info: Sequence[int], terminate: bool = True) -
     p, k, n, m = code.p, code.k, code.n, code.m
     if len(info) == 0 or len(info) % k:
         raise ValueError(f"info length must be a positive multiple of k={k}")
-    for s in info:
-        if not 0 <= s < p:
-            raise ValueError(f"symbol {s} out of range for GF({p})")
+    info = field_symbols(info, p, "info symbols")
+    if info.ndim != 1:
+        raise ValueError(f"info symbols must be one flat sequence, got shape {info.shape}")
     blocks = [info[i : i + k] for i in range(0, len(info), k)]
     if terminate:
         blocks += [[0] * k] * m

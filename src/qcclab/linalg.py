@@ -118,6 +118,38 @@ def shorten_ends(R, p: int) -> np.ndarray:
     return R
 
 
+def distinct_starts(M, p: int) -> np.ndarray:
+    """A basis of the row space of M whose rows start at distinct columns,
+    sorted by start, with zero rows dropped; the mirror of `shorten_ends`.
+    Left to right over the columns that rows share as their start, every
+    other row that starts in the column is reduced by the row starting
+    there with the earliest end, which moves its start right and never
+    moves an end right, so short rows stay short. Returns a new array."""
+    R = _as_matrix(M) % p
+    R = R[R.any(axis=1)]
+    cols = R.shape[1]
+    starts = (R != 0).argmax(axis=1)
+    ends = cols - 1 - (R[:, ::-1] != 0).argmax(axis=1)
+    while True:
+        # the first column where rows share a start; reductions only move
+        # starts right, so no column left of it is shared again
+        shared = np.flatnonzero(np.bincount(starts, minlength=cols + 1)[:cols] > 1)
+        if not len(shared):
+            break
+        c = shared[0]
+        group = np.flatnonzero(starts == c)
+        ref = group[ends[group].argmin()]
+        rest = group[group != ref]
+        scale = R[rest, c] * pow(int(R[ref, c]), p - 2, p) % p
+        R[rest] = (R[rest] - scale[:, None] * R[ref]) % p
+        nz = R[rest] != 0
+        # a row reduced to 0 starts past the last column and is dropped
+        starts[rest] = np.where(nz.any(axis=1), nz.argmax(axis=1), cols)
+        ends[rest] = cols - 1 - nz[:, ::-1].argmax(axis=1)
+    keep = np.flatnonzero(starts < cols)
+    return R[keep[np.argsort(starts[keep])]]
+
+
 def _last_needed(C: np.ndarray, b: np.ndarray, p: int) -> int | None:
     """The least j such that b lies in the span of columns 0..j of C; -1
     when b is 0, and None when b is not in the span of C.

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .convcode import ConvCode
+from .convcode import ConvCode, field_symbols
 from .gfpoly import CatastrophicityVerdict, catastrophic_check
 from .pauli import PauliWindow, StabilizerWindow
 
@@ -296,7 +296,7 @@ class CodewordForm:
         # A[r, j] couples dummy r to info symbol j; B[s, r] adds it to register s
         A, B = encoding_matrices(parent, n_blocks)
         n_mid, L = B.shape[1], B.shape[0]
-        info = np.asarray(info, dtype=np.int64)
+        info = field_symbols(info, N, "info symbols")
         if info.shape != (A.shape[1],):
             raise ValueError("info length does not match the window")
         amp = np.zeros((N,) * L, dtype=np.complex128)

@@ -16,6 +16,12 @@ the window's generators as given, with no change of basis; the minimal
 span form of `QccCode.stabilizer` keeps the fewest open at any boundary.
 Every decoder takes a built `ErrorTrellis`, so one trellis serves many
 calls, and syndromes as arrays of values in the window's generator order.
+
+The trellis serves the window distance too. `ErrorTrellis` takes its rows
+as a plain (x | z) matrix, and `channel.measure_distance` builds one over
+rows restricted to the interior, with one register per section, and
+counts the paths of each weight through each section's syndrome-free
+group, the group of syndrome 0.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .convcode import StateCapError, field_symbols, group_candidates, size_cap, step_keys, viterbi
-from .pauli import PauliWindow, StabilizerWindow
+from .pauli import PauliWindow
 from .qcc import QccCode
 
 DEFAULT_STATE_CAP = 1 << 24
@@ -82,13 +88,15 @@ def _section_bounds(n_open: np.ndarray, last: np.ndarray, block_regs: int, p: in
 
 
 class ErrorTrellis:
-    """Register-sectioned trellis over a stabilizer window.
+    """Register-sectioned trellis over the rows of `gen_matrix`, an (x | z)
+    integer matrix over L registers of dimension p: a window's generators
+    (`build_error_trellis`), or the rows whose syndrome-free operators
+    `channel.measure_distance` counts.
 
-    It decodes in the window's generators as given, so syndromes are fed
-    in as observed. They must start at distinct register-interleaved
-    (x_j, z_j) columns, else ValueError. Results do not depend on the
-    basis; the minimal span form of `QccCode.stabilizer` keeps the trellis
-    small.
+    It decodes in the rows as given, so syndromes are fed in as observed.
+    The rows must start at distinct register-interleaved (x_j, z_j)
+    columns, else ValueError. Results do not depend on the basis; minimal
+    span form, as in `QccCode.stabilizer`, keeps the trellis small.
 
     Every block of `block_regs` registers is cut into the sections of
     least decoding work (`_section_bounds`); `bounds` lists the cuts in
@@ -109,19 +117,18 @@ class ErrorTrellis:
     `step_row` maps each group to its row.
     """
 
-    def __init__(self, stab: StabilizerWindow, block_regs: int):
+    def __init__(self, gen_matrix: np.ndarray, p: int, block_regs: int):
         if block_regs < 1:
             raise ValueError("block size must be positive")
-        self.stab = stab
-        self.p = stab.p
-        self.L = stab.L
-        self.block_regs = block_regs
-        self.n_blocks = -(-self.L // block_regs)
-        p, L = self.p, self.L
-
-        gen_matrix = stab._gen_matrix
+        gen_matrix = np.asarray(gen_matrix, dtype=np.int64) % p
+        if gen_matrix.ndim != 2 or gen_matrix.shape[1] % 2:
+            raise ValueError("trellis rows must be an (x | z) matrix with 2L columns")
         if len(gen_matrix) == 0:
             raise ValueError("trellis needs at least one generator")
+        self.p = p
+        self.L = L = gen_matrix.shape[1] // 2
+        self.block_regs = block_regs
+        self.n_blocks = -(-L // block_regs)
         self.G = len(gen_matrix)
         self.gen_x = np.ascontiguousarray(gen_matrix[:, :L])
         self.gen_z = np.ascontiguousarray(gen_matrix[:, L:])
@@ -170,10 +177,10 @@ class ErrorTrellis:
         wt = ((bx != 0) | (bz != 0)).sum(axis=1)
 
         first, last = self._first, self._last
-        active = [g for g in range(self.G) if first[g] < hi and last[g] >= lo]
-        open_prev = [g for g in active if first[g] < lo]
-        open_next = [g for g in active if last[g] >= hi]
-        closing = [g for g in active if last[g] < hi]
+        active = np.flatnonzero((first < hi) & (last >= lo))
+        open_prev = active[first[active] < lo].tolist()
+        open_next = active[last[active] >= hi].tolist()
+        closing = active[last[active] < hi].tolist()
         # a group holds the values the closing generators reach, then the
         # next state, as base-p digits over `keyed`; a row of syndromes
         # takes the group whose closing values it observed
@@ -226,7 +233,7 @@ class ErrorTrellis:
 
 
 def build_error_trellis(code: QccCode) -> ErrorTrellis:
-    return ErrorTrellis(code.stabilizer, code.regs_per_block)
+    return ErrorTrellis(code.stabilizer._gen_matrix, code.N, code.regs_per_block)
 
 
 def _decode(trellis: ErrorTrellis, syndromes, settled=None):
@@ -281,7 +288,7 @@ def qva_decode(trellis: ErrorTrellis, syn: Sequence[int]) -> RecoveryPath:
     labels, cost = _decode(trellis, syn)
     x, z = _corrections(trellis, labels)
     correction = PauliWindow(x[0], z[0], trellis.p)
-    assert np.array_equal(trellis.stab.syndrome(correction), syn)
+    assert np.array_equal((trellis.gen_z @ x[0] - trellis.gen_x @ z[0]) % trellis.p, syn)
     return RecoveryPath(correction, int(cost[0]), _block_labels(trellis, x[0], z[0]))
 
 

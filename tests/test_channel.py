@@ -64,11 +64,33 @@ def test_flagship_p3_w10_against_low_weight_listing():
     assert acting_weights_up_to(code, 3) == {3: 2}
 
 
+def test_flagship_p5_w8_against_low_weight_listing():
+    code = code_of(FLAGSHIP, 5, 8)
+    report = measure_distance(code)
+    assert (report.d, report.count_at_d) == (4, 24)
+    assert acting_weights_up_to(code, 3) == {}
+
+
+def test_flagship_p5_w10_is_counted_under_the_state_cap():
+    # no operator of weight <= 3 acts here either; listing them takes
+    # about 15 s, too long for this suite
+    report = measure_distance(code_of(FLAGSHIP, 5, 10))
+    assert (report.d, report.count_at_d) == (4, 88)
+
+
 def test_explicit_interior_matches_exhaustive_search():
     code = code_of(FLAGSHIP, 2, 8)
     report = measure_distance(code, interior=(6, 18))
     assert (report.d, report.count_at_d, report.interior) == \
         distance_by_enumeration(code, interior=(6, 18))
+
+
+def test_interior_cut_inside_blocks_matches_exhaustive_search():
+    # (5, 19) cuts both edges inside a block of 4 registers
+    code = code_of(FLAGSHIP, 3, 8)
+    report = measure_distance(code, interior=(5, 19))
+    assert (report.d, report.count_at_d, report.interior) == \
+        distance_by_enumeration(code, interior=(5, 19))
 
 
 # flagship p=2 at W=8 has 32 registers
@@ -87,20 +109,39 @@ def test_count_overflow_raises(monkeypatch):
         measure_distance(code_of(FLAGSHIP, 2, 8))
 
 
+def _spans(rows):
+    nz = rows != 0
+    return sorted(zip(nz.argmax(axis=1).tolist(),
+                      (rows.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)).tolist()))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_interior_rows_are_the_minimal_span_form_of_their_reduced_form(p):
     rng = np.random.default_rng([p, 428])
+    log_rng = np.random.default_rng([p, 429])
     L, lo, hi = 7, 1, 6
+
+    def interleaved(mat, L, lo, hi):
+        rows = np.empty((len(mat), 2 * (hi - lo)), dtype=np.int64)
+        rows[:, 0::2], rows[:, 1::2] = mat[:, lo:hi], mat[:, L + lo : L + hi]
+        return rows
+
     for _ in range(20):
         mat = rng.integers(0, p, (6, 2 * L)) * (rng.random((6, 2 * L)) < 0.4)
         mat[1] = 0  # a zero row, and two rows dependent on the others
         mat[4] = (mat[0] + 2 * mat[2]) % p
         mat[5] = (p - 1) * mat[3] % p
-        rows = np.empty((len(mat), 2 * (hi - lo)), dtype=np.int64)
-        rows[:, 0::2] = mat[:, L + lo : L + hi]
-        rows[:, 1::2] = -mat[:, lo:hi] % p
-        want = linalg.minimal_span_basis(linalg.rref(rows, p)[0], p)
-        assert np.array_equal(channel._interior_rows(mat, L, lo, hi, p), want)
+        logs = log_rng.integers(0, p, (3, 2 * L)) * (log_rng.random((3, 2 * L)) < 0.4)
+        logs[0] = (mat[0] + mat[3]) % p  # inside the generators' span
+        G, J = channel._interior_bases(mat, logs, L, lo, hi, p)
+        for basis, rows in ((G, mat), (J, np.concatenate([mat, logs]))):
+            # both over the interior's registers, as (x | z) rows
+            got = interleaved(basis, hi - lo, 0, hi - lo)
+            want = linalg.minimal_span_basis(linalg.rref(interleaved(rows, L, lo, hi), p)[0], p)
+            assert got.shape == want.shape
+            assert linalg.rank(np.concatenate([got, want]), p) == len(want)
+            # minimal span forms of one space share their spans
+            assert _spans(got) == _spans(want)
 
 
 def test_state_cap_raises(monkeypatch):

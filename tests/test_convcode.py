@@ -55,6 +55,15 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode_stream(rate_half_parent, [2], terminate=False)
 
+    @pytest.mark.parametrize("info", [[1.5, 0, 1], np.array([1.5, 0, 1])], ids=["list", "array"])
+    def test_non_integer_symbols_are_rejected(self, rate_half_parent, info):
+        with pytest.raises(ValueError, match="info symbols must be integers in GF\\(2\\)"):
+            encode_stream(rate_half_parent, info)
+
+    def test_nested_info_is_rejected(self, rate_half_parent):
+        with pytest.raises(ValueError, match="one flat sequence"):
+            encode_stream(rate_half_parent, [[1], [0]])
+
     def test_ternary_encoding(self):
         code = ConvCode(PolyMatrix.from_coeffs([[[1], [2, 1]]], 3))
         out = encode_stream(code, [1, 2], terminate=False)

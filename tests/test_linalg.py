@@ -107,6 +107,32 @@ def test_minimal_span_form_of_random_matrices(p):
         assert list(starts) == sorted(starts)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_distinct_starts_of_random_matrices(p):
+    rng = np.random.default_rng([p, 121])
+    for trial in range(40):
+        rows, cols = rng.integers(1, 9), rng.integers(6, 16)
+        # short random bands, then zero and dependent rows among them
+        M = rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols)) < 0.5)
+        M = (rng.integers(0, p, (rows, rows)) * (rng.random((rows, rows)) < 0.3) @ M) % p
+        out = linalg.distinct_starts(M, p)
+        rank = linalg.rank(M, p)
+        assert out.shape == (rank, cols)
+        assert linalg.rank(np.concatenate([M, out]), p) == rank
+        starts, ends = _starts_ends(out)
+        assert list(starts) == sorted(set(starts))
+        # no end moves right: each row ends no later than the row of M it
+        # came from, so the k-th latest end is no later than M's
+        if rank:
+            before = np.sort(_starts_ends(M[M.any(axis=1)])[1])[::-1][:rank]
+            assert (np.sort(ends)[::-1] <= before).all()
+            # shortened, it has the spans of the minimal span form
+            short = linalg.shorten_ends(out, p)
+            want = linalg.minimal_span_basis(linalg.rref(M, p)[0], p)
+            assert sorted(zip(*map(list, _starts_ends(short)))) == \
+                sorted(zip(*map(list, _starts_ends(want))))
+
+
 def test_minimal_span_rejects_dependent_rows():
     with pytest.raises(ValueError, match="dependent"):
         linalg.minimal_span_basis([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2)

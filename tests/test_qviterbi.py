@@ -318,7 +318,7 @@ def test_results_do_not_depend_on_the_generator_basis(p, draws):
     gens = stab.generators
     summed = [a * b for a, b in zip(gens, gens[1:])] + [gens[-1]]
     bare = StabilizerWindow(summed, L=code.L, p=p)
-    ours, theirs = build_error_trellis(code), ErrorTrellis(bare, code.regs_per_block)
+    ours, theirs = build_error_trellis(code), ErrorTrellis(bare._gen_matrix, p, code.regs_per_block)
     assert (ours.max_open, theirs.max_open) == (6, 10)
     spec = ChannelSpec(0.1, ChannelModel.DEPOLARIZING, p)
     errors = [sample_error(spec, code.L, (3, i)) for i in range(draws)]
@@ -335,7 +335,7 @@ def test_results_do_not_depend_on_the_generator_basis(p, draws):
 def test_generators_without_distinct_starts_are_rejected(gens):
     bare = StabilizerWindow([PauliWindow.from_string(g) for g in gens], L=4, p=2)
     with pytest.raises(ValueError, match="distinct register-interleaved"):
-        ErrorTrellis(bare, 2)
+        ErrorTrellis(bare._gen_matrix, 2, 2)
 
 
 # windows too wide for the exhaustive coset oracle (5^10 and more

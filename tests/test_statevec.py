@@ -592,6 +592,11 @@ class TestSynthesizedCircuits:
         with pytest.raises(ValueError, match=message):
             CodewordForm(odd).amplitudes((1, 0), 1)
 
+    @pytest.mark.parametrize("info", [[2, 0, 0], [1.7, 0, 0]], ids=["outside-GF2", "non-integer"])
+    def test_codeword_form_rejects_bad_info(self, info):
+        with pytest.raises(ValueError, match="info symbols must be integers in GF\\(2\\)"):
+            CodewordForm(flagship(2)).amplitudes(info)
+
     def test_encode_rejects_bad_info(self):
         with pytest.raises(ValueError, match="multiple of k=2"):
             encode(_parent(2, WIDE), (1, 0, 1))
