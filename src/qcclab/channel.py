@@ -227,14 +227,18 @@ def _sample_chunk(spec: ChannelSpec, L: int, seed: int, first: int, count: int):
 
 
 def wilson_interval(count: int, total: int, z: float = 1.959963984540054):
-    """Wilson score interval; well behaved at zero counts."""
+    """Wilson score interval; well behaved at zero counts. Its lower bound
+    is exactly 0 when count is 0 and its upper bound exactly 1 when count
+    is total, where rounding would leave a trace of the other side."""
     if total == 0:
         return 0.0, 1.0
     phat = count / total
     denom = 1 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
     half = z * np.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if count == 0 else max(0.0, center - half)
+    hi = 1.0 if count == total else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Dense linear algebra over GF(p) on numpy integer arrays."""
+"""Linear algebra over GF(p) on numpy integer arrays.
+
+`rref` and the solvers and kernel built on it eliminate densely; the
+minimal span passes (`distinct_starts`, `shorten_ends`) reduce rows only
+by rows that share their start or their end column, so banded input stays
+banded."""
 
 from __future__ import annotations
 
@@ -82,27 +87,32 @@ def in_rowspan(v, M, p: int) -> bool:
 
 
 def minimal_span_basis(vectors, p: int) -> np.ndarray:
-    """Row-equivalent basis in minimal span form, rows sorted by start.
+    """Row-equivalent basis in minimal span form, rows sorted by start,
+    each with first nonzero entry 1.
 
-    Two passes (Kschischang and Sorokine): `rref` makes the starts
-    distinct; then `shorten_ends` makes the ends distinct. Distinct starts
-    and distinct ends characterise minimal span form, which minimises the
-    trellis state complexity over the given column order. Zero rows are
-    dropped; dependent rows raise ValueError."""
+    Two passes (Kschischang and Sorokine): `distinct_starts` makes the
+    starts distinct; then, after each row is scaled to a leading 1,
+    `shorten_ends` makes the ends distinct. Distinct starts and distinct
+    ends characterise minimal span form, which minimises the trellis state
+    complexity over the given column order. Both passes only shorten rows,
+    so banded rows stay banded. Zero rows are dropped; dependent rows raise
+    ValueError."""
     M = _as_matrix(vectors) % p
     M = M[M.any(axis=1)]
-    R, pivots = rref(M, p)
-    if len(pivots) < len(M):
+    R = distinct_starts(M, p)
+    if len(R) < len(M):
         raise ValueError("dependent rows in minimal span reduction")
-    return shorten_ends(R, p)
+    lead = R[np.arange(len(R)), (R != 0).argmax(axis=1)]
+    inv = np.array([pow(int(a), p - 2, p) for a in lead], dtype=np.int64)
+    return shorten_ends(R * inv[:, None] % p, p)
 
 
 def shorten_ends(R, p: int) -> np.ndarray:
     """The second pass of `minimal_span_basis` on nonzero rows with distinct
-    starts, sorted by start (a reduced row echelon form): right to left over
-    the columns, every other row that ends in the column is reduced by the
-    row ending there with the latest start, which moves its end left and
-    never moves a start. Returns a new array."""
+    starts, sorted by start (the output of `distinct_starts`): right to left
+    over the columns, every other row that ends in the column is reduced by
+    the row ending there with the latest start, which moves its end left and
+    never moves a start or changes a leading entry. Returns a new array."""
     R = _as_matrix(R) % p
     cols = R.shape[1]
     ends = cols - 1 - (R[:, ::-1] != 0).argmax(axis=1)

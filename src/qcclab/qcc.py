@@ -80,7 +80,9 @@ def encoding_matrices(code: ConvCode, n_blocks: int) -> tuple[np.ndarray, np.nda
 def _generator_rows(A: np.ndarray, B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Bases of the X-type generators (B applied to the dual of im(A)) and
     of the Z-type generators (the dual of im(B)), each in minimal span
-    form, rows sorted by start."""
+    form, rows sorted by start, each with first nonzero entry 1. The
+    kernels are dense eliminations; the span reduction of their banded
+    rows is not."""
     return (linalg.minimal_span_basis(linalg.kernel(A.T, p) @ B.T, p),
             linalg.minimal_span_basis(linalg.kernel(B.T, p), p))
 

@@ -11,6 +11,11 @@ and a fault in it would show in another result:
     solutions and kernel bases from `linalg.solve` and `linalg.kernel`, and
     `kernel_by_loop`, the reference for `linalg.kernel`, reads `linalg.rref`;
     `test_linalg` checks `solve` against numpy and the kernel against the loop;
+  * `minimal_span_by_rref`, the reference for `linalg.minimal_span_basis`,
+    gets its distinct starts and leading 1s from `linalg.rref`, not from
+    `linalg.distinct_starts`, but shares the second pass, `linalg.shorten_ends`;
+    `test_linalg` checks that the result has distinct starts and distinct ends,
+    which characterise minimal span form;
   * `section_tables_by_sorting` keys every (state, branch) pair its own way,
     but enumerates words with `qviterbi._digits`, groups the keys with
     `convcode.group_candidates` (one stable argsort) and forms step keys with
@@ -261,6 +266,21 @@ def kernel_by_loop(M, p):
         for r, c in enumerate(pivots):
             basis[i, c] = (-R[r, f]) % p
     return basis
+
+
+def minimal_span_by_rref(vectors, p):
+    """The reference for `linalg.minimal_span_basis`: the reduced row
+    echelon form of the nonzero rows, whose starts are distinct and whose
+    leading entries are 1, then `linalg.shorten_ends`. Dependent rows raise
+    the same ValueError."""
+    from qcclab import linalg
+
+    M = np.asarray(vectors, dtype=np.int64).reshape(-1, np.shape(vectors)[-1]) % p
+    M = M[M.any(axis=1)]
+    R, pivots = linalg.rref(M, p)
+    if len(pivots) < len(M):
+        raise ValueError("dependent rows in minimal span reduction")
+    return linalg.shorten_ends(R, p)
 
 
 def first_stabilizer_violation(generators, logical_x, logical_z):

@@ -13,7 +13,8 @@ from qcclab.channel import measure_distance
 from qcclab.convcode import StateCapError
 from qcclab.qviterbi import build_error_trellis
 
-from oracles import acting_weights_up_to, distance_by_enumeration, trials_by_reference
+from oracles import (acting_weights_up_to, distance_by_enumeration, minimal_span_by_rref,
+                     trials_by_reference)
 
 FLAGSHIP = [[[1, 0, 1], [1, 1, 1]]]
 ONE_PLUS_D = [[[1], [1, 1]]]
@@ -137,11 +138,22 @@ def test_interior_rows_are_the_minimal_span_form_of_their_reduced_form(p):
         for basis, rows in ((G, mat), (J, np.concatenate([mat, logs]))):
             # both over the interior's registers, as (x | z) rows
             got = interleaved(basis, hi - lo, 0, hi - lo)
-            want = linalg.minimal_span_basis(linalg.rref(interleaved(rows, L, lo, hi), p)[0], p)
+            want = minimal_span_by_rref(linalg.rref(interleaved(rows, L, lo, hi), p)[0], p)
             assert got.shape == want.shape
             assert linalg.rank(np.concatenate([got, want]), p) == len(want)
             # minimal span forms of one space share their spans
             assert _spans(got) == _spans(want)
+
+
+def test_wilson_interval_ends():
+    assert channel.wilson_interval(0, 50)[0] == 0.0
+    assert channel.wilson_interval(10, 10)[1] == 1.0
+    assert channel.wilson_interval(0, 0) == (0.0, 1.0)
+    # inside the range both bounds are the score interval's, as before
+    lo, hi = channel.wilson_interval(3, 50)
+    assert 0 < lo < 3 / 50 < hi < 1
+    lo, hi = channel.wilson_interval(0, 50)
+    assert hi == pytest.approx(0.0713476, rel=1e-6)
 
 
 def test_state_cap_raises(monkeypatch):

@@ -202,11 +202,12 @@ def test_reader_closing_stdout_exits_1_without_a_traceback(tmp_path):
 
 
 # `simulate --window 10 --trials 400 --seed 7 --p 0.01 0.03` on the flagship
-# parent, as printed before the serial runs shared one error trellis
+# parent, as printed before the serial runs shared one error trellis; the
+# lower bounds of the zero counts are exactly 0
 SIMULATE_TWO_RATES = """\
 # qcclab 0.1.0
 p,trials,Pe_hat,Pe_lo,Pe_hi,Pb_hat,Pb_lo,Pb_hi,Pe_bound,Pb_bound
-0.01,400,0,5.42101e-20,0.000959443,0,2.1684e-19,0.003191,0.088,0.088
+0.01,400,0,0,0.000959443,0,0,0.003191,0.088,0.088
 0.03,400,0.00225,0.0011842,0.00427092,0.01,0.00572958,0.0173976,0.457261,0.457261
 """
 

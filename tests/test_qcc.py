@@ -8,9 +8,9 @@ import pytest
 from qcclab import ConvCode, PolyMatrix, QccCode, encode_stream, linalg
 from qcclab.gfpoly import RankDeficientError, catastrophic_check
 from qcclab.linalg import solve_localized
-from qcclab.qcc import _normalize, _span_len, _unit, encoding_matrix
+from qcclab.qcc import _generator_rows, _normalize, _span_len, _unit, encoding_matrix
 
-from oracles import solve_localized_by_trimming
+from oracles import minimal_span_by_rref, solve_localized_by_trimming
 
 FLAGSHIP_TAPS = [[[1, 0, 1], [1, 1, 1]]]
 # a non-catastrophic rate-2/4 parent with 8 registers per block
@@ -140,6 +140,62 @@ def test_generators_come_in_minimal_span_form(name):
                            (linalg.kernel(B.T, p), [g.z for g in gens if g.z.any()])):
             assert np.array_equal(linalg.rref(rows, p)[0], linalg.rref(ours, p)[0]), W
         assert max(_span_len(g) for g in gens) <= code.support_bound, W
+
+
+def _spans(rows):
+    nz = rows != 0
+    return sorted(zip(nz.argmax(axis=1).tolist(),
+                      (rows.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)).tolist()))
+
+
+def _assert_generator_rows_match_the_rref_route(parent, W):
+    """The X and Z rows of `_generator_rows` span what the rref route's rows
+    span, over the same (start, end) spans, each with first nonzero entry 1."""
+    code = QccCode(parent, W)
+    A, B, p = code.first_matrix, code.second_matrix, code.N
+    for got, rows in zip(_generator_rows(A, B, p),
+                         (linalg.kernel(A.T, p) @ B.T, linalg.kernel(B.T, p))):
+        want = minimal_span_by_rref(rows, p)
+        assert got.shape == want.shape, W
+        assert linalg.rank(np.concatenate([got, want]), p) == len(want), W
+        assert _spans(got) == _spans(want), W
+        assert (got[np.arange(len(got)), (got != 0).argmax(axis=1)] == 1).all(), W
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_PARENTS))
+def test_generator_rows_match_the_rref_route(name):
+    parent = TEMPLATE_PARENTS[name]()
+    k, m = parent.k, parent.m
+    for W in (m + 1, 4 * m + 6, 2 * (4 * m + 6)):
+        _assert_generator_rows_match_the_rref_route(parent, W + -W % k)
+
+
+def test_generator_rows_match_the_rref_route_at_a_large_window():
+    _assert_generator_rows_match_the_rref_route(flagship(2), 100)
+
+
+def test_minimal_span_basis_runs_no_rref(monkeypatch):
+    """The stabilizer still eliminates densely for its kernels and
+    logicals, but never inside `minimal_span_basis`."""
+    rref, minimal_span_basis = linalg.rref, linalg.minimal_span_basis
+    inside, calls = [], []
+
+    def checked_rref(*args):
+        assert not inside, "minimal_span_basis called rref"
+        calls.append(True)
+        return rref(*args)
+
+    def traced_minimal_span_basis(*args):
+        inside.append(True)
+        try:
+            return minimal_span_basis(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "rref", checked_rref)
+    monkeypatch.setattr(linalg, "minimal_span_basis", traced_minimal_span_basis)
+    QccCode(flagship(3), 10).stabilizer
+    assert calls  # the patch is seen: the kernels and logicals still call rref
 
 
 @pytest.mark.parametrize("parent, blocks", [
