@@ -19,7 +19,7 @@ from .gfpoly import (
     poly_gcd,
     right_inverse,
 )
-from .pauli import PauliWindow, ResidualKind, StabilizerWindow
+from .pauli import PauliWindow, StabilizerWindow
 from .qcc import (
     CatastrophicParentError,
     QccCode,
@@ -38,7 +38,6 @@ __all__ = [
     "Poly",
     "PolyMatrix",
     "QccCode",
-    "ResidualKind",
     "StabilizerWindow",
     "StateVector",
     "build_error_trellis",

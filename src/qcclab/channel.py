@@ -24,6 +24,7 @@ where the two counts first differ.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -56,7 +57,7 @@ class ChannelSpec:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent stream per (seed, trial), both in [0, 2^63); order of use is irrelevant."""
-    check_trial_keys(seed, trial, 1)
+    seed, trial, _ = check_trial_keys(seed, trial, 1)
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
@@ -88,10 +89,15 @@ def sample_error(spec: ChannelSpec, L: int, trial: tuple[int, int]) -> PauliWind
 _KEY_LIMIT = 2**63
 
 
-def check_trial_keys(seed: int, first: int, count: int) -> None:
-    """ValueError unless `count` >= 0 and `seed` and the trial indices
-    [first, first + count) all lie in [0, 2^63), the range over which each
-    (seed, trial) pair keys its own stream."""
+def check_trial_keys(seed: int, first: int, count: int) -> tuple[int, int, int]:
+    """`seed`, `first` and `count` as Python ints. TypeError unless each is
+    an integer, and not a bool; ValueError unless `count` >= 0 and `seed`
+    and the trial indices [first, first + count) all lie in [0, 2^63), the
+    range over which each (seed, trial) pair keys its own stream."""
+    for value, what in ((seed, "seed"), (first, "first trial index"), (count, "trial count")):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{what} must be an integer, got {value!r}")
+    seed, first, count = map(operator.index, (seed, first, count))
     if count < 0:
         raise ValueError(f"trial count must be at least 0, got {count}")
     if not 0 <= seed < _KEY_LIMIT:
@@ -100,6 +106,7 @@ def check_trial_keys(seed: int, first: int, count: int) -> None:
         raise ValueError(f"trial indices must be at least 0, got {first}")
     if first + count > _KEY_LIMIT:
         raise ValueError(f"trial indices must be below 2^63, got up to {first + count - 1}")
+    return seed, first, count
 
 
 # Philox4x64-10 (Salmon et al., SC 2011) with the Random123 constants: the
@@ -229,7 +236,10 @@ def _sample_chunk(spec: ChannelSpec, L: int, seed: int, first: int, count: int):
 def wilson_interval(count: int, total: int, z: float = 1.959963984540054):
     """Wilson score interval; well behaved at zero counts. Its lower bound
     is exactly 0 when count is 0 and its upper bound exactly 1 when count
-    is total, where rounding would leave a trace of the other side."""
+    is total, where rounding would leave a trace of the other side.
+    ValueError unless 0 <= count <= total."""
+    if not 0 <= count <= total:
+        raise ValueError(f"count {count} is not in [0, {total}]")
     if total == 0:
         return 0.0, 1.0
     phat = count / total
@@ -302,13 +312,13 @@ def _interior(code: QccCode) -> tuple[int, int]:
 def payload_indices(code: QccCode) -> tuple[int, ...]:
     """Logical pairs whose operators lie inside the interior (`_interior`)."""
     lo, hi = _interior(code)
-    stab = code.stabilizer
-    keep = []
-    for i, (lx, lz) in enumerate(zip(stab.logical_x, stab.logical_z)):
-        sup = np.nonzero((lx.x != 0) | (lx.z != 0) | (lz.x != 0) | (lz.z != 0))[0]
-        if len(sup) and lo <= sup[0] and sup[-1] < hi:
-            keep.append(i)
-    return tuple(keep)
+    stab, L = code.stabilizer, code.L
+    # the registers each pair acts on, and those of them outside [lo, hi)
+    busy = (stab.logical_x_matrix != 0) | (stab.logical_z_matrix != 0)
+    busy = busy[:, :L] | busy[:, L:]
+    regs = np.arange(L)
+    outside = busy & ((regs < lo) | (regs >= hi))
+    return tuple(np.flatnonzero(busy.any(axis=1) & ~outside.any(axis=1)).tolist())
 
 
 class EmptyPayloadError(ValueError):
@@ -364,23 +374,20 @@ def run_trials(
     trellis of another code raises ValueError."""
     if spec.N != code.N:
         raise ValueError("channel and code register dimensions differ")
-    check_trial_keys(seed, trial_offset, trials)
+    seed, trial_offset, trials = check_trial_keys(seed, trial_offset, trials)
     stab = code.stabilizer
     if trellis is None:
         trellis = build_error_trellis(code)
     elif ((trellis.p, trellis.block_regs) != (code.N, code.regs_per_block)
-          or not np.array_equal(np.hstack([trellis.gen_x, trellis.gen_z]), stab._gen_matrix)):
+          or not np.array_equal(np.hstack([trellis.gen_x, trellis.gen_z]), stab.gen_matrix)):
         raise ValueError("the error trellis was built for a different code")
     payload = payload_indices(code)
     L, p = code.L, code.N
 
-    gen = stab._gen_matrix
-    gx, gz = gen[:, :L], gen[:, L:]
-    log_rows = []
-    for i in payload:
-        log_rows.append(stab.logical_z[i].symplectic())
-        log_rows.append(stab.logical_x[i].symplectic())
-    log_mat = np.array(log_rows, dtype=np.int64).reshape(len(payload) * 2, 2 * L)
+    gx, gz = stab.gen_matrix[:, :L], stab.gen_matrix[:, L:]
+    # each payload pair's Z row, then its X row
+    log_mat = np.stack([stab.logical_z_matrix, stab.logical_x_matrix], axis=1)
+    log_mat = log_mat[list(payload)].reshape(2 * len(payload), 2 * L)
     lx, lz = log_mat[:, :L], log_mat[:, L:]
 
     block_errors = 0
@@ -514,9 +521,8 @@ def measure_distance(code: QccCode, interior: tuple[int, int] | None = None) -> 
     if lo < 0 or hi > L:
         raise ValueError(f"interior range [{lo}, {hi}) is not inside the {L} registers [0, {L})")
 
-    logicals = np.array([op.symplectic() for op in stab.logical_z + stab.logical_x],
-                        dtype=np.int64).reshape(-1, 2 * L)
-    G, J = _interior_bases(stab._gen_matrix, logicals, L, lo, hi, p)
+    logicals = np.concatenate([stab.logical_z_matrix, stab.logical_x_matrix])
+    G, J = _interior_bases(stab.gen_matrix, logicals, L, lo, hi, p)
     if len(J) == len(G):
         raise ValueError("no logically acting operator in the interior range")
     trellises = ErrorTrellis(G, p, 1), ErrorTrellis(J, p, 1)

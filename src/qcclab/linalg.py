@@ -80,12 +80,6 @@ def kernel(M, p: int) -> np.ndarray:
     return basis
 
 
-def in_rowspan(v, M, p: int) -> bool:
-    """True iff v is a GF(p) combination of the rows of M."""
-    M = _as_matrix(M)
-    return solve(M.T, np.asarray(v, dtype=np.int64), p) is not None
-
-
 def minimal_span_basis(vectors, p: int) -> np.ndarray:
     """Row-equivalent basis in minimal span form, rows sorted by start,
     each with first nonzero entry 1.

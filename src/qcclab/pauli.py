@@ -1,35 +1,52 @@
-"""Generalized Pauli operators on a register window, in symplectic form.
+"""Generalized Pauli operators on a register window, in symplectic form,
+and the stabilizer tableau of a window.
 
 An operator on L dimension-p registers is tau^phase * X^x Z^z with x, z
 in Z_p^L and tau = exp(i*pi/p), so phases live in Z_{2p}. Register j acts
 as I, X, Z, Y for (x_j, z_j) = (0,0), (1,0), (0,1), (1,1) when p = 2.
+`StabilizerWindow` keeps a window's operators as the rows (x | z) of
+integer matrices, a tableau in the sense of Aaronson and Gottesman
+(quant-ph/0406196), and hands out `PauliWindow` views of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
-from . import linalg
 from .gfpoly import is_prime
 
 _CHARS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _PAIRS = {v: k for k, v in _CHARS.items()}
 
 
+def _integers(value, what: str) -> np.ndarray:
+    """`value` as an int64 array, or TypeError naming `what` unless it holds
+    integers only."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biu" and arr.size:
+        raise TypeError(f"{what} must be integers, got {value!r}")
+    return arr.astype(np.int64)
+
+
+def _integer(value, what: str) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class PauliWindow:
-    """Immutable generalized Pauli operator on L registers."""
+    """Immutable generalized Pauli operator on L registers; x, z and the
+    phase exponent must be integers, else TypeError."""
 
     __slots__ = ("x", "z", "p", "phase_exp")
 
     def __init__(self, x, z, p: int, phase_exp: int = 0):
         if not is_prime(p):
             raise ValueError(f"register dimension must be prime, got {p}")
-        x = np.asarray(x, dtype=np.int64) % p
-        z = np.asarray(z, dtype=np.int64) % p
+        x = _integers(x, "x") % p
+        z = _integers(z, "z") % p
         if x.shape != z.shape or x.ndim != 1:
             raise ValueError("x and z must be equal-length vectors")
         x.setflags(write=False)
@@ -37,7 +54,7 @@ class PauliWindow:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "phase_exp", phase_exp % (2 * p))
+        object.__setattr__(self, "phase_exp", _integer(phase_exp, "phase_exp") % (2 * p))
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliWindow is immutable")
@@ -48,7 +65,8 @@ class PauliWindow:
 
     @classmethod
     def identity(cls, L: int, p: int) -> "PauliWindow":
-        return cls(np.zeros(L), np.zeros(L), p)
+        zeros = np.zeros(L, dtype=np.int64)
+        return cls(zeros, zeros, p)
 
     @classmethod
     def from_string(cls, s: str, p: int = 2) -> "PauliWindow":
@@ -128,53 +146,49 @@ class PauliWindow:
         return f"PauliWindow(x={self.x.tolist()}, z={self.z.tolist()}, p={self.p})"
 
 
-class ResidualKind(Enum):
-    IDENTITY = "identity"
-    STABILIZER = "stabilizer"
-    LOGICAL_ERROR = "logical-error"
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    kind: ResidualKind
-    affected: tuple[int, ...] = ()
-
-
 class StabilizerWindow:
-    """Stabilizer generators plus paired logical operators on a window.
+    """Stabilizer generators plus paired logical operators on a window, as
+    three integer matrices of (x | z) rows with 2L columns each: the
+    generators, logical_x and logical_z, stored read-only and reduced mod
+    p as `gen_matrix`, `logical_x_matrix` and `logical_z_matrix`. A matrix
+    may have no rows. `generators`, `logical_x` and `logical_z` are the
+    same rows as `PauliWindow` operators.
 
     Construction validates mutual commutation of the generators and the
     symplectic pairing of the logicals: logical_x[i] anticommutes with
     logical_z[i] only, and everything commutes with the generators.
     """
 
-    def __init__(
-        self,
-        generators: Sequence[PauliWindow],
-        logical_x: Sequence[PauliWindow] = (),
-        logical_z: Sequence[PauliWindow] = (),
-        L: int | None = None,
-        p: int | None = None,
-    ):
-        ops = list(generators) + list(logical_x) + list(logical_z)
-        if not ops and (L is None or p is None):
-            raise ValueError("empty stabilizer needs explicit L and p")
-        self.L = L if L is not None else ops[0].L
-        self.p = p if p is not None else ops[0].p
-        for op in ops:
-            if op.L != self.L or op.p != self.p:
-                raise ValueError("operator dimension mismatch in stabilizer window")
-        self.generators = tuple(generators)
-        self.logical_x = tuple(logical_x)
-        self.logical_z = tuple(logical_z)
-        if len(self.logical_x) != len(self.logical_z):
+    def __init__(self, generators, logical_x, logical_z, p: int):
+        if not is_prime(p):
+            raise ValueError(f"register dimension must be prime, got {p}")
+        mats = [_integers(m, what) % p for m, what in
+                ((generators, "generators"), (logical_x, "logical_x"), (logical_z, "logical_z"))]
+        if any(m.ndim != 2 or m.shape[1] != mats[0].shape[1] for m in mats) or mats[0].shape[1] % 2:
+            raise ValueError("operator dimension mismatch in stabilizer window")
+        if len(mats[1]) != len(mats[2]):
             raise ValueError("logical_x and logical_z must pair up")
+        for m in mats:
+            m.setflags(write=False)
+        self.gen_matrix, self.logical_x_matrix, self.logical_z_matrix = mats
+        self.L = mats[0].shape[1] // 2
+        self.p = p
         self._validate()
-        self._gen_matrix = (
-            np.array([g.symplectic() for g in self.generators], dtype=np.int64)
-            if self.generators
-            else np.zeros((0, 2 * self.L), dtype=np.int64)
-        )
+
+    def _views(self, rows: np.ndarray) -> tuple[PauliWindow, ...]:
+        return tuple(PauliWindow(r[: self.L], r[self.L :], self.p) for r in rows)
+
+    @cached_property
+    def generators(self) -> tuple[PauliWindow, ...]:
+        return self._views(self.gen_matrix)
+
+    @cached_property
+    def logical_x(self) -> tuple[PauliWindow, ...]:
+        return self._views(self.logical_x_matrix)
+
+    @cached_property
+    def logical_z(self) -> tuple[PauliWindow, ...]:
+        return self._views(self.logical_z_matrix)
 
     def _validate(self) -> None:
         """Check every symplectic product at once, from the Gram matrix
@@ -183,10 +197,9 @@ class StabilizerWindow:
         checking the pairs one at a time would raise first: each generator
         against the later generators and then the logicals, then the
         logical pairing, then logical_x, then logical_z."""
-        n_gen, n_log = len(self.generators), len(self.logical_x)
-        ops = self.generators + self.logical_x + self.logical_z
-        X = np.array([op.x for op in ops], dtype=np.int64).reshape(len(ops), self.L)
-        Z = np.array([op.z for op in ops], dtype=np.int64).reshape(len(ops), self.L)
+        n_gen, n_log = len(self.gen_matrix), len(self.logical_x_matrix)
+        ops = np.concatenate([self.gen_matrix, self.logical_x_matrix, self.logical_z_matrix])
+        X, Z = ops[:, : self.L], ops[:, self.L :]
         S = (X @ Z.T - Z @ X.T) % self.p
         gen_rows = S[:n_gen] != 0
         # each generator against the later generators, then all logicals
@@ -209,31 +222,5 @@ class StabilizerWindow:
         """Symplectic product of the error with each generator, mod p."""
         if error.L != self.L or error.p != self.p:
             raise ValueError("error dimension mismatch")
-        if not self.generators:
-            return np.zeros(0, dtype=np.int64)
-        gx = self._gen_matrix[:, : self.L]
-        gz = self._gen_matrix[:, self.L :]
+        gx, gz = self.gen_matrix[:, : self.L], self.gen_matrix[:, self.L :]
         return (gz @ error.x - gx @ error.z) % self.p
-
-    def logical_action(self, op: PauliWindow) -> tuple[int, ...]:
-        """Indices of logical pairs op acts on (nonzero symplectic product)."""
-        hit = []
-        for i, (lx, lz) in enumerate(zip(self.logical_x, self.logical_z)):
-            if op.sym_product(lz) or op.sym_product(lx):
-                hit.append(i)
-        return tuple(hit)
-
-    def classify_residual(self, residual: PauliWindow) -> ResidualReport:
-        """Classify a syndrome-free residual; phases are ignored."""
-        if self.syndrome(residual).any():
-            raise ValueError("residual has nonzero syndrome")
-        if residual.is_identity():
-            return ResidualReport(ResidualKind.IDENTITY)
-        affected = self.logical_action(residual)
-        if affected:
-            return ResidualReport(ResidualKind.LOGICAL_ERROR, affected)
-        if linalg.in_rowspan(residual.symplectic(), self._gen_matrix, self.p):
-            return ResidualReport(ResidualKind.STABILIZER)
-        # commutes with generators and logicals but outside the group: only
-        # possible if the listed logicals do not span the full logical algebra
-        return ResidualReport(ResidualKind.LOGICAL_ERROR, ())

@@ -155,18 +155,16 @@ class QccCode:
         2j + 1 for z_j. X and Z rows never share a start or an end column,
         so each type is reduced alone and the merge is in minimal span form."""
         p = self.N
-        L, K = self.L, self.k_info
         x_gens, z_gens = _generator_rows(self.first_matrix, self.second_matrix, p)
         X, Z = np.vstack([x_gens, 0 * z_gens]), np.vstack([0 * x_gens, z_gens])
         starts = 2 * (X + Z != 0).argmax(axis=1) + (np.arange(len(X)) >= len(x_gens))
-        order = sorted(range(len(X)), key=starts.tolist().__getitem__)
-        gens = [PauliWindow(X[i], Z[i], p) for i in order]
-        log_x, log_z = zip(*(self._logical_pair(i) for i in range(K)))
-        return StabilizerWindow(gens, log_x, log_z, L=L, p=p)
+        order = np.argsort(starts, kind="stable")
+        logicals = np.array([self._logical_pair(i) for i in range(self.k_info)])
+        return StabilizerWindow(np.hstack([X, Z])[order], logicals[:, 0], logicals[:, 1], p)
 
-    def _logical_pair(self, i: int) -> tuple[PauliWindow, PauliWindow]:
-        """The spin flip and the phase shift on logical qudit i, each
-        solved on a narrow window around the qudit's block."""
+    def _logical_pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The spin flip and the phase shift on logical qudit i as (x | z)
+        rows, each solved on a narrow window around the qudit's block."""
         p = self.N
         A, B = self.first_matrix, self.second_matrix
         L, K = self.L, self.k_info
@@ -174,7 +172,8 @@ class QccCode:
         step, n = self.regs_per_block, self.parent.n
         u = linalg.solve_localized(B.T, A[:, i], p, center=blk * step, halfwidth=step)
         mu = linalg.solve_localized(A.T, (-_unit(K, i)) % p, p, center=blk * n, halfwidth=n)
-        return PauliWindow(np.zeros(L), u, p), PauliWindow((B @ mu) % p, np.zeros(L), p)
+        zeros = np.zeros(L, dtype=np.int64)
+        return np.concatenate([zeros, u]), np.concatenate([(B @ mu) % p, zeros])
 
     @cached_property
     def support_bound(self) -> int:
@@ -253,8 +252,8 @@ def _extract_templates(parent: ConvCode) -> tuple[Template, ...]:
             xz = (row, zeros) if kind == "stabilizer-x" else (zeros, row)
             pat, start = _normalize(PauliWindow(*xz, p))
             out.append(Template(kind, pat, start - mid, step))
-    for kind, op in zip(("logical-x", "logical-z"), ref._logical_pair(ref.k_info // 2)):
-        pat, start = _normalize(op)
+    for kind, row in zip(("logical-x", "logical-z"), ref._logical_pair(ref.k_info // 2)):
+        pat, start = _normalize(PauliWindow(row[:L], row[L:], p))
         out.append(Template(kind, pat, start % step, step))
     return tuple(out)
 

@@ -233,7 +233,7 @@ class ErrorTrellis:
 
 
 def build_error_trellis(code: QccCode) -> ErrorTrellis:
-    return ErrorTrellis(code.stabilizer._gen_matrix, code.N, code.regs_per_block)
+    return ErrorTrellis(code.stabilizer.gen_matrix, code.N, code.regs_per_block)
 
 
 def _decode(trellis: ErrorTrellis, syndromes, settled=None):
@@ -300,9 +300,14 @@ def batch_decode(
     would exceed BATCH_CANDIDATES.
 
     Returns (x, z, cost) arrays of shapes (M, L), (M, L), (M,); each row is
-    the correction qva_decode returns for that syndrome.
+    the correction qva_decode returns for that syndrome. `syndromes` must
+    be an (M, G) array, one row of the G generators' values per syndrome,
+    else ValueError.
     """
     syndromes = np.asarray(syndromes)
+    if syndromes.ndim != 2 or syndromes.shape[1] != trellis.G:
+        raise ValueError(f"expected an (M, {trellis.G}) array of syndromes, "
+                         f"got shape {syndromes.shape}")
     M = syndromes.shape[0]
     xs = np.zeros((M, trellis.L), dtype=np.int64)
     zs = np.zeros((M, trellis.L), dtype=np.int64)

@@ -40,7 +40,7 @@ import numpy as np
 from . import linalg
 from .convcode import ConvCode, StateCapError, field_symbols, size_cap
 from .gfpoly import PolyMatrix, is_prime
-from .pauli import PauliWindow
+from .pauli import PauliWindow, _integer, _integers
 from .qcc import encoding_matrices
 
 DEFAULT_AMPLITUDE_CAP = 1 << 24
@@ -93,21 +93,6 @@ def _omega(N: int) -> complex:
 #
 # Each kernel takes a C-contiguous complex128 array of shape (N,) * L and
 # overwrites it with the gate's output; reshaping such an array gives views.
-
-
-def _integers(value, what: str) -> np.ndarray:
-    """`value` as an int64 array, or TypeError naming `what` unless it holds
-    integers only."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "biu" and arr.size:
-        raise TypeError(f"{what} must be integers, got {value!r}")
-    return arr.astype(np.int64)
-
-
-def _integer(value, what: str) -> int:
-    if not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_reg(amp: np.ndarray, *regs: int) -> None:

@@ -22,7 +22,9 @@ and a fault in it would show in another result:
     `convcode.step_keys`, as the trellis does; a fault there would break the
     decoders' agreement with `min_weight_for_syndrome`;
   * `trials_by_reference` decodes by `qva_decode`, which `test_qviterbi`
-    checks against the exhaustive searches here;
+    checks against the exhaustive searches here, and reads a residual's
+    logical action from `PauliWindow.sym_product`, as
+    `first_stabilizer_violation` does;
   * `first_stabilizer_violation` pairs operators by `PauliWindow.sym_product`,
     which `test_pauli` checks on operators with known products;
   * `run_gates_one_by_one` moves amplitudes itself for the label-permuting
@@ -101,8 +103,7 @@ def _coset_batches(stab, target, batch=1 << 14):
     from qcclab import linalg
 
     L, p = stab.L, stab.p
-    gen = np.array([g.symplectic() for g in stab.generators], dtype=np.int64)
-    gx, gz = gen[:, :L], gen[:, L:]
+    gx, gz = stab.gen_matrix[:, :L], stab.gen_matrix[:, L:]
     syn_map = np.concatenate([gz, (-gx) % p], axis=1)  # rows act on (x | z)
     particular = linalg.solve(syn_map, np.asarray(target, dtype=np.int64), p)
     if particular is None:
@@ -162,9 +163,8 @@ def _interior_maps(code, interior):
     lo, hi = interior
     if hi <= lo:
         raise ValueError("empty interior range")
-    gen = np.array([g.symplectic() for g in stab.generators], dtype=np.int64)
-    log = np.array([op.symplectic() for op in stab.logical_z + stab.logical_x],
-                   dtype=np.int64)
+    gen = stab.gen_matrix
+    log = np.concatenate([stab.logical_z_matrix, stab.logical_x_matrix])
     # <row, (x | z)> is the symplectic product z_row . x - x_row . z
     syn_map = np.concatenate([gen[:, L + lo:L + hi], -gen[:, lo:hi] % p], axis=1)
     act_map = np.concatenate([log[:, L + lo:L + hi], -log[:, lo:hi] % p], axis=1)
@@ -312,9 +312,10 @@ def first_stabilizer_violation(generators, logical_x, logical_z):
 def trials_by_reference(code, spec, trials, seed):
     """The `TrialReport` of `run_trials`, one trial at a time: trial i's
     error is `sample_error(spec, L, (seed, i))`, the scalar decoder corrects
-    its syndrome, and `classify_residual` names the logical pairs the
-    residual acts on; those among the payload count as symbol errors, and
-    any of them as a block error."""
+    its syndrome, the residual is checked to have zero syndrome, and a
+    payload pair counts as a symbol error when the residual has a nonzero
+    symplectic product with its logical_x or logical_z; any of them makes
+    a block error."""
     from qcclab import channel
     from qcclab.qviterbi import build_error_trellis, qva_decode
 
@@ -326,7 +327,9 @@ def trials_by_reference(code, spec, trials, seed):
         error = channel.sample_error(spec, code.L, (seed, i))
         correction = qva_decode(trellis, stab.syndrome(error)).correction
         residual = error.compose(correction.inverse())
-        hit = set(stab.classify_residual(residual).affected) & set(payload)
+        assert not stab.syndrome(residual).any(), "residual has nonzero syndrome"
+        hit = [i for i in payload if residual.sym_product(stab.logical_x[i])
+               or residual.sym_product(stab.logical_z[i])]
         block_errors += bool(hit)
         symbol_errors += len(hit)
     return channel.TrialReport(

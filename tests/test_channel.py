@@ -156,6 +156,14 @@ def test_wilson_interval_ends():
     assert hi == pytest.approx(0.0713476, rel=1e-6)
 
 
+@pytest.mark.parametrize("count, total", [(-1, 10), (11, 10), (1, 0)])
+def test_wilson_interval_rejects_counts_outside_the_total(count, total):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"count {count} is not in \\[0, {total}\\]"):
+            channel.wilson_interval(count, total)
+
+
 def test_state_cap_raises(monkeypatch):
     monkeypatch.setenv("QCC_STATE_CAP", "8")
     with pytest.raises(StateCapError):
@@ -346,3 +354,27 @@ def test_trial_rng_rejects_keys_outside_int64(seed, trial):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be"):
             channel.trial_rng(seed, trial)
+
+
+def test_numpy_integer_keys_give_the_report_of_python_ints():
+    code, spec = code_of(FLAGSHIP, 2, 8), channel.ChannelSpec(0.1, N=2)
+    want = channel.run_trials(code, spec, 30, 3)
+    got = channel.run_trials(code, spec, np.int64(30), np.int64(3), np.int64(0))
+    assert got == want and type(got.seed) is type(got.trials) is int
+    assert want.logical_block_errors > 0
+    error = channel.sample_error(spec, code.L, (np.int64(3), np.uint64(4)))
+    assert error == channel.sample_error(spec, code.L, (3, 4))
+
+
+@pytest.mark.parametrize("key", [1.5, np.float64(3), "3", True],
+                         ids=["fraction", "numpy-float", "str", "bool"])
+def test_trial_keys_must_be_integers(key):
+    code, spec = code_of(FLAGSHIP, 2, 8), channel.ChannelSpec(0.03, N=2)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        channel.run_trials(code, spec, 10, key)
+    with pytest.raises(TypeError, match="first trial index must be an integer"):
+        channel.run_trials(code, spec, 10, 0, key)
+    with pytest.raises(TypeError, match="trial count must be an integer"):
+        channel.run_trials(code, spec, key, 0)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        channel.sample_error(spec, code.L, (key, 0))

@@ -44,12 +44,6 @@ def test_kernel_equals_the_loop_reference(p):
         assert got.dtype == want.dtype and np.array_equal(got, want), M
 
 
-def test_in_rowspan():
-    M = [[1, 0, 1, 0], [0, 1, 1, 0]]
-    assert linalg.in_rowspan([1, 1, 0, 0], M, 2)
-    assert not linalg.in_rowspan([0, 0, 0, 1], M, 2)
-
-
 def test_minimal_span_shrinks_and_preserves_space():
     rng = np.random.default_rng(3)
     base = np.zeros((4, 12), dtype=np.int64)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcclab.pauli import PauliWindow, ResidualKind, StabilizerWindow
+from qcclab.pauli import PauliWindow, StabilizerWindow
 
 from oracles import first_stabilizer_violation
 
@@ -12,10 +12,18 @@ def pw(s):
     return PauliWindow.from_string(s)
 
 
+def window(gens, lx, lz, L, p=2):
+    """The `StabilizerWindow` of these operators, each list passed as its
+    matrix of (x | z) rows."""
+    def rows(ops):
+        return np.array([op.symplectic() for op in ops], dtype=np.int64).reshape(len(ops), 2 * L)
+    return StabilizerWindow(rows(gens), rows(lx), rows(lz), p)
+
+
 @pytest.fixture(scope="module")
 def repetition_stab():
     gens = [pw("ZZI"), pw("ZIZ")]
-    return StabilizerWindow(gens, [pw("XXX")], [pw("ZZZ")])
+    return window(gens, [pw("XXX")], [pw("ZZZ")], 3)
 
 
 class TestAlgebra:
@@ -70,6 +78,23 @@ class TestAlgebra:
             pw("XI").compose(pw("XII"))
 
 
+class TestIntegerEntries:
+    @pytest.mark.parametrize("bad", [[1.5, 2.7], ["1", "0"]], ids=["fraction", "str"])
+    def test_rejects_non_integer_registers(self, bad):
+        with pytest.raises(TypeError, match="x must be integers"):
+            PauliWindow(bad, [0, 0], 3)
+        with pytest.raises(TypeError, match="z must be integers"):
+            PauliWindow([0, 0], bad, 3)
+
+    def test_rejects_a_non_integer_phase(self):
+        with pytest.raises(TypeError, match="phase_exp must be an integer"):
+            PauliWindow([1], [0], 3, phase_exp=1.5)
+
+    def test_identity_has_integer_entries(self):
+        e = PauliWindow.identity(3, 5)
+        assert e.x.dtype == e.z.dtype == np.int64 and e.is_identity()
+
+
 class TestCommutation:
     def test_disjoint_support(self):
         assert pw("XI").commutes(pw("IZ"))
@@ -98,17 +123,15 @@ class TestWeight:
 class TestStabilizerWindow:
     def test_rejects_anticommuting_generators(self):
         with pytest.raises(ValueError):
-            StabilizerWindow([pw("XI"), pw("ZI")])
+            window([pw("XI"), pw("ZI")], [], [], 2)
 
     def test_rejects_broken_logical_pairing(self):
         # XX and ZZ commute: not a conjugate pair
         with pytest.raises(ValueError):
-            StabilizerWindow([], [pw("XX")], [pw("ZZ")], L=2, p=2)
+            window([], [pw("XX")], [pw("ZZ")], 2)
         # cross-pair anticommutation is just as fatal
         with pytest.raises(ValueError):
-            StabilizerWindow(
-                [], [pw("XI"), pw("IX")], [pw("ZI"), pw("ZZ")], L=2, p=2
-            )
+            window([], [pw("XI"), pw("IX")], [pw("ZI"), pw("ZZ")], 2)
 
     @pytest.mark.parametrize("gens, lx, lz, message", [
         (["XI", "ZI"], [], [], "generators must mutually commute"),
@@ -131,7 +154,7 @@ class TestStabilizerWindow:
         ops = [[pw(o) for o in group] for group in (gens, lx, lz)]
         assert message in first_stabilizer_violation(*ops)
         with pytest.raises(ValueError, match=message):
-            StabilizerWindow(*ops, L=len((gens + lx)[0]), p=2)
+            window(*ops, L=len((gens + lx)[0]))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_validation_agrees_with_pairwise_products(self, p):
@@ -148,16 +171,62 @@ class TestStabilizerWindow:
                 op, reg = rng.integers(0, 6), rng.integers(0, 4)
                 x[op, reg], z[op, reg] = rng.integers(0, p, 2)
             ops = [PauliWindow(a, b, p) for a, b in zip(x, z)]
-            gens, lx, lz = ops[:2], ops[2:4], ops[4:]
-            expected = first_stabilizer_violation(gens, lx, lz)
+            expected = first_stabilizer_violation(ops[:2], ops[2:4], ops[4:])
             outcomes.add(expected)
+            rows = np.hstack([x, z])
             if expected is None:
-                StabilizerWindow(gens, lx, lz)
+                StabilizerWindow(rows[:2], rows[2:4], rows[4:], p)
             else:
                 with pytest.raises(ValueError) as err:
-                    StabilizerWindow(gens, lx, lz)
+                    StabilizerWindow(rows[:2], rows[2:4], rows[4:], p)
                 assert str(err.value) == expected
         assert len(outcomes) == 6  # each of the five messages, and success
+
+    def test_stores_read_only_matrices_and_views_of_them(self, repetition_stab):
+        stab = repetition_stab
+        assert stab.gen_matrix.tolist() == [[0, 0, 0, 1, 1, 0], [0, 0, 0, 1, 0, 1]]
+        assert stab.logical_x_matrix.tolist() == [[1, 1, 1, 0, 0, 0]]
+        assert stab.logical_z_matrix.tolist() == [[0, 0, 0, 1, 1, 1]]
+        for m in (stab.gen_matrix, stab.logical_x_matrix, stab.logical_z_matrix):
+            assert m.dtype == np.int64 and not m.flags.writeable
+        assert stab.generators == (pw("ZZI"), pw("ZIZ"))
+        assert (stab.logical_x, stab.logical_z) == ((pw("XXX"),), (pw("ZZZ"),))
+
+    def test_entries_are_reduced_mod_p(self):
+        stab = StabilizerWindow([[0, 3]], [[4, 0]], [[0, 2]], 3)
+        assert stab.gen_matrix.tolist() == [[0, 0]]
+        assert stab.logical_x_matrix.tolist() == [[1, 0]]
+        assert stab.logical_z[0] == PauliWindow([0], [2], 3)
+
+    def test_a_window_without_rows(self):
+        none = np.zeros((0, 6), dtype=np.int64)
+        stab = StabilizerWindow(none, none, none, 2)
+        assert stab.L == 3 and stab.generators == () == stab.logical_x
+        assert stab.syndrome(pw("XYZ")).shape == (0,)
+
+    @pytest.mark.parametrize("shapes, message", [
+        (((1, 3), (0, 3), (0, 3)), "dimension mismatch"),
+        (((1, 4), (0, 6), (0, 6)), "dimension mismatch"),
+        (((4,), (0, 4), (0, 4)), "dimension mismatch"),
+        (((0, 4), (1, 4), (0, 4)), "must pair up"),
+    ], ids=["odd-columns", "unequal-columns", "vector", "unpaired"])
+    def test_rejects_malformed_matrices(self, shapes, message):
+        mats = [np.zeros(shape, dtype=np.int64) for shape in shapes]
+        with pytest.raises(ValueError, match=message):
+            StabilizerWindow(*mats, 2)
+
+    def test_rejects_a_composite_dimension(self):
+        none = np.zeros((0, 4), dtype=np.int64)
+        with pytest.raises(ValueError, match="must be prime, got 4"):
+            StabilizerWindow(none, none, none, 4)
+
+    def test_rejects_non_integer_entries(self):
+        none = np.zeros((0, 4), dtype=np.int64)
+        for bad in ([[0, 0, 1.5, 0]], [["0", "0", "1", "1"]]):
+            with pytest.raises(TypeError, match="generators must be integers"):
+                StabilizerWindow(bad, none, none, 2)
+        with pytest.raises(TypeError, match="logical_x must be integers"):
+            StabilizerWindow(none, [[1.0, 0, 0, 0]], [[0, 0, 1, 0]], 2)
 
     def test_syndrome_examples(self, repetition_stab):
         assert np.array_equal(repetition_stab.syndrome(pw("III")), [0, 0])
@@ -175,35 +244,6 @@ class TestStabilizerWindow:
             sb = repetition_stab.syndrome(b)
             sab = repetition_stab.syndrome(a.compose(b))
             assert np.array_equal(sab, (sa + sb) % 2)
-
-
-class TestClassify:
-    def test_identity(self, repetition_stab):
-        rep = repetition_stab.classify_residual(pw("III"))
-        assert rep.kind is ResidualKind.IDENTITY
-
-    def test_generator_is_stabilizer(self, repetition_stab):
-        rep = repetition_stab.classify_residual(pw("ZZI"))
-        assert rep.kind is ResidualKind.STABILIZER
-
-    def test_generator_products(self, repetition_stab):
-        rng = np.random.default_rng(3)
-        gens = repetition_stab.generators
-        for _ in range(20):
-            acc = PauliWindow.identity(3, 2)
-            for _ in range(int(rng.integers(1, 4))):
-                acc = acc.compose(gens[int(rng.integers(0, len(gens)))])
-            kind = repetition_stab.classify_residual(acc).kind
-            assert kind in (ResidualKind.STABILIZER, ResidualKind.IDENTITY)
-
-    def test_logical_flagged_with_index(self, repetition_stab):
-        rep = repetition_stab.classify_residual(pw("XXX"))
-        assert rep.kind is ResidualKind.LOGICAL_ERROR
-        assert rep.affected == (0,)
-
-    def test_nonzero_syndrome_rejected(self, repetition_stab):
-        with pytest.raises(ValueError):
-            repetition_stab.classify_residual(pw("XII"))
 
 
 class TestSerialization:

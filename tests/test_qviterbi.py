@@ -66,6 +66,15 @@ def test_ties_break_toward_lexicographically_smallest_correction(small):
         assert np.array_equal(rec.correction.z, z)
 
 
+def test_batch_decode_takes_a_matrix_of_syndromes(small):
+    code, trellis = small
+    syn = sampled_syndromes(code, 1)[0]
+    with pytest.raises(ValueError, match=rf"expected an \(M, {trellis.G}\) array"):
+        batch_decode(trellis, syn)
+    xs, zs, costs = batch_decode(trellis, np.zeros((0, trellis.G), dtype=np.int64))
+    assert (xs.shape, zs.shape, costs.shape) == ((0, code.L), (0, code.L), (0,))
+
+
 def test_batch_corrections_equal_scalar_corrections(small):
     code, trellis = small
     syns = sampled_syndromes(code, 40, seed=13)
@@ -315,10 +324,11 @@ def test_results_do_not_depend_on_the_generator_basis(p, draws):
     the same correction at the same cost."""
     code = QccCode(ConvCode(PolyMatrix.from_coeffs(FLAGSHIP, p)), 8)
     stab = code.stabilizer
-    gens = stab.generators
-    summed = [a * b for a, b in zip(gens, gens[1:])] + [gens[-1]]
-    bare = StabilizerWindow(summed, L=code.L, p=p)
-    ours, theirs = build_error_trellis(code), ErrorTrellis(bare._gen_matrix, p, code.regs_per_block)
+    gens = stab.gen_matrix
+    summed = np.vstack([(gens[:-1] + gens[1:]) % p, gens[-1:]])
+    none = np.zeros((0, 2 * code.L), dtype=np.int64)
+    bare = StabilizerWindow(summed, none, none, p)
+    ours, theirs = build_error_trellis(code), ErrorTrellis(bare.gen_matrix, p, code.regs_per_block)
     assert (ours.max_open, theirs.max_open) == (6, 10)
     spec = ChannelSpec(0.1, ChannelModel.DEPOLARIZING, p)
     errors = [sample_error(spec, code.L, (3, i)) for i in range(draws)]
@@ -333,9 +343,11 @@ def test_results_do_not_depend_on_the_generator_basis(p, draws):
 @pytest.mark.parametrize("gens", [["ZZII", "ZIZI"], ["ZZII", "IIII"], ["ZZII", "ZZII"]],
                          ids=["same-start", "zero", "repeated"])
 def test_generators_without_distinct_starts_are_rejected(gens):
-    bare = StabilizerWindow([PauliWindow.from_string(g) for g in gens], L=4, p=2)
+    rows = np.array([PauliWindow.from_string(g).symplectic() for g in gens])
+    none = np.zeros((0, 8), dtype=np.int64)
+    bare = StabilizerWindow(rows, none, none, 2)
     with pytest.raises(ValueError, match="distinct register-interleaved"):
-        ErrorTrellis(bare._gen_matrix, 2, 2)
+        ErrorTrellis(bare.gen_matrix, 2, 2)
 
 
 # windows too wide for the exhaustive coset oracle (5^10 and more
